@@ -87,8 +87,8 @@ int main(int argc, char** argv) {
     // lane count > 1 yields the same P.
     const backend::RunResult probe = run_lanes(compiled, 4);
     if (!probe.ok) {
-      std::fprintf(stderr, "bench_parexec: %s failed: %s\n", workload.name,
-                   probe.error.c_str());
+      std::fprintf(stderr, "bench_parexec: %s failed: %s\n",
+                   workload.name.c_str(), probe.error.c_str());
       return 1;
     }
     const std::uint64_t total = probe.dynamic_insns;

@@ -56,7 +56,7 @@ double measure_ns_per_query(const View& view,
     }
     queries += static_cast<std::uint64_t>(items.size()) * items.size();
   } while (timer.elapsed_ms() < min_ms);
-  g_sink += sink;
+  g_sink = g_sink + sink;
   return timer.elapsed_ms() * 1e6 / static_cast<double>(queries);
 }
 
@@ -98,7 +98,7 @@ double measure_scalar_block(const query::HliUnitView& view,
     }
     pairs += block.size() * (block.size() - 1) / 2;
   } while (timer.elapsed_ms() < min_ms);
-  g_sink += sink;
+  g_sink = g_sink + sink;
   return timer.elapsed_ms() * 1e6 / static_cast<double>(pairs);
 }
 
@@ -139,7 +139,7 @@ double measure_batched_block(const query::HliUnitView& view,
     }
     pairs += block.size() * (block.size() - 1) / 2;
   } while (timer.elapsed_ms() < min_ms);
-  g_sink += sink;
+  g_sink = g_sink + sink;
   return timer.elapsed_ms() * 1e6 / static_cast<double>(pairs);
 }
 

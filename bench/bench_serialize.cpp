@@ -39,7 +39,7 @@ double measure_ms(double min_ms, const Op& op) {
       sink += op();
       ++calls;
     } while ((elapsed = timer.elapsed_ms()) < min_ms);
-    g_sink += sink;
+    g_sink = g_sink + sink;
     best = std::min(best, elapsed / static_cast<double>(calls));
   }
   return best;

@@ -220,7 +220,7 @@ EOF
 
 stage_query_perf() {
   cmake -B build "${GENERATOR[@]}" -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  cmake --build build -j "$JOBS" --target bench_query_micro hlic
+  cmake --build build -j "$JOBS" --target bench_query_micro hli_tests
   # Perf gate: the batched BlockConflictMatrix path must be no slower
   # than the scalar per-pair path on every DDG-shaped block size.
   ./build/bench/bench_query_micro --json build/BENCH_query.json
@@ -238,13 +238,10 @@ print('query perf gate: ' + ', '.join(
     '%s %.1fx' % (w['name'], w['speedup']) for w in blocks))
 EOF
   fi
-  # Identity gate: batching on vs off must emit byte-identical RTL.
-  for wl in 102.swim 077.mdljsp2; do
-    ./build/tools/hlic --dump-rtl "$wl" > "build/RTL_batched_$wl.txt"
-    ./build/tools/hlic --dump-rtl --no-batch-queries "$wl" \
-      > "build/RTL_scalar_$wl.txt"
-    cmp "build/RTL_batched_$wl.txt" "build/RTL_scalar_$wl.txt"
-  done
+  # Identity gate: batching on vs off must emit byte-identical RTL for
+  # all 17 programs under paper_table2 and production.
+  ./build/tests/hli/hli_tests \
+    --gtest_filter=BatchQueryTest.RtlByteIdenticalBatchingOnAndOff
 }
 
 stage_service() {

@@ -470,6 +470,249 @@ const telemetry::Counter c_fallback_queries =
 const telemetry::Counter c_fallback_pruned =
     telemetry::counter("irdep.fallback_pruned");
 
+/// One function's back-end sequence, from HLI import to parallel
+/// planning.  Every unit runs it; a function without HLI (`imported`
+/// null) skips mapping, the optimizing passes and the boundary checks but
+/// is still classified and planned from irdep facts alone.  The result
+/// is the unit's whole contribution to the program — exactly the record
+/// a unit-cache hit replays — so cold and cached units splice alike.
+/// The imported entry is copied: maintenance mutates it per compilation,
+/// while the (possibly shared) store stays read-only.
+CachedUnit compile_unit(RtlFunction lowered, const format::HliEntry* imported,
+                        const PipelineOptions& options,
+                        const irdep::ProgramDepInfo* irdep_program) {
+  CachedUnit unit;
+  unit.rtl = std::move(lowered);
+  RtlFunction& func = unit.rtl;
+  format::HliEntry* const entry = imported != nullptr ? &unit.hli : nullptr;
+
+  // One query index per HLI generation: built on first use and shared by
+  // every pass, audit and the planner until maintenance bumps the entry's
+  // generation (§3.2 — only deleted, moved or copied references change
+  // the tables).
+  std::optional<query::HliUnitView> current_view;
+  const auto view = [&]() -> const query::HliUnitView* {
+    if (entry == nullptr) return nullptr;
+    if (!current_view || current_view->stale()) current_view.emplace(*entry);
+    return &*current_view;
+  };
+
+  // Every pass boundary runs the invariant verifier (each maintenance
+  // batch must hand the next pass tables that keep the paper's
+  // conservative-correctness contract), then the independent audit: the
+  // function model is rebuilt from the current instruction stream and
+  // every HLI claim of total independence (may_conflict None + empty
+  // LCDD) that irdep refutes with a proof is flagged.
+  const auto boundary = [&](const char* name,
+                            const std::vector<verify::MappedRef>* refs =
+                                nullptr) {
+    if (options.verify_hli != VerifyMode::Off) {
+      const telemetry::Span span("verify", "verify");
+      verify::VerifyOptions vopts;
+      vopts.audit_on_findings = true;
+      vopts.mapped_refs = refs;
+      const verify::VerifyResult result = verify::verify_entry(*entry, vopts);
+      unit.stats.verify_checks += result.checks_run;
+      c_verify_checks.add(result.checks_run);
+      if (!result.ok()) {
+        unit.stats.verify_findings += result.findings.size();
+        c_verify_findings.add(result.findings.size());
+        const std::string report = "HLI verifier: unit '" + func.name +
+                                   "' dirty after " + name + ":\n" +
+                                   result.render(func.name);
+        if (options.verify_hli == VerifyMode::Fatal) {
+          throw support::CompileError(report);
+        }
+        unit.verify_log += report;
+      }
+    }
+    if (options.audit_deps != VerifyMode::Off) {
+      const telemetry::Span span("audit-deps", "verify");
+      irdep::FunctionDepInfo fdi(*irdep_program, func);
+      const irdep::AuditResult result = irdep::audit_function(fdi, *view());
+      unit.stats.audit_checks += result.checks;
+      if (!result.ok()) {
+        unit.stats.audit_findings += result.findings.size();
+        std::string report = "irdep audit: unit '" + func.name +
+                             "' unsound after " + name + ":\n";
+        for (const verify::Finding& finding : result.findings) {
+          report += "  " + func.name + ": " + verify::to_string(finding) + "\n";
+        }
+        if (options.audit_deps == VerifyMode::Fatal) {
+          throw support::CompileError(report);
+        }
+        unit.audit_log += report;
+      }
+    }
+  };
+
+  if (entry != nullptr) {
+    unit.hli = *imported;
+    const MapResult mapping = map_items(func, *entry);
+    mapping.record_telemetry();
+    unit.stats.mapped_items = mapping.mapped;
+    unit.stats.map_perfect = mapping.perfect();
+    const std::vector<verify::MappedRef> refs = collect_mapped_refs(func);
+    boundary("import/mapping", &refs);
+  }
+
+  // Loop classification (--analyze=loops): right after import/mapping,
+  // before any transform reshapes the loops, so the report describes
+  // the program the user wrote.  The combined column unions HLI facts
+  // in only when this compilation actually uses them.
+  if (options.analyze_loops) {
+    const telemetry::Span span("analyze-loops", "pass");
+    unit.loop_reports = irdep::classify_function(
+        *irdep_program, func, options.use_hli ? view() : nullptr);
+  }
+
+  if (entry != nullptr) {
+    // Each pass publishes its telemetry and folds its stats into the unit.
+    const auto tally = [](auto& into, const auto& stats) {
+      stats.record_telemetry();
+      into += stats;
+    };
+
+    // Fallback dependence oracle (--irdep-fallback): handed to CSE, LICM
+    // and both scheduling passes.  Built on the post-mapping stream;
+    // refreshed before every scheduling pass, since the passes before it
+    // rewrite the stream (LICM refreshes internally, per loop).
+    std::optional<irdep::IrdepOracle> irdep_oracle;
+    if (options.irdep_fallback) {
+      irdep_oracle.emplace(*irdep_program, func);
+    }
+
+    // CSE (Figure 4): deleted loads drop their items from the HLI.  The
+    // deletions are DEFERRED until the pass finishes: maintenance bumps
+    // the entry's generation counter and would otherwise invalidate the
+    // live view mid-pass (delete_item never changes the answer for the
+    // still-live items the pass keeps querying, so deferral is safe).
+    if (options.enable_cse) {
+      const telemetry::Span span("cse", "pass");
+      std::vector<format::ItemId> deleted;
+      CseOptions cse;
+      cse.use_hli = options.use_hli;
+      cse.view = view();
+      cse.batch_queries = options.batch_queries;
+      cse.on_load_deleted = [&deleted](format::ItemId item) {
+        deleted.push_back(item);
+      };
+      if (irdep_oracle) cse.fallback = &*irdep_oracle;
+      tally(unit.stats.cse, cse_function(func, cse));
+      for (const format::ItemId item : deleted) {
+        maintain::delete_item(*entry, item);
+      }
+      boundary("CSE maintenance");
+    }
+
+    // Combine-style constant folding before the dead-code sweep.
+    if (options.enable_constfold) {
+      const telemetry::Span span("constfold", "pass");
+      tally(unit.stats.constfold, constfold_function(func));
+    }
+
+    // Flow-style dead code elimination: sweep the Moves CSE left behind.
+    if (options.enable_dce) {
+      const telemetry::Span span("dce", "pass");
+      DceOptions dce;
+      dce.on_load_deleted = [entry](format::ItemId item) {
+        maintain::delete_item(*entry, item);
+      };
+      tally(unit.stats.dce, dce_function(func, dce));
+      boundary("DCE maintenance");
+    }
+
+    // LICM: hoisted loads move to the loop's parent region (moves applied
+    // after the pass, like the CSE deletions, to keep the view fresh).
+    if (options.enable_licm) {
+      const telemetry::Span span("licm", "pass");
+      std::vector<std::pair<format::ItemId, format::RegionId>> hoisted;
+      LicmOptions licm;
+      licm.use_hli = options.use_hli;
+      licm.view = view();
+      licm.batch_queries = options.batch_queries;
+      licm.on_load_hoisted = [&hoisted, &licm](format::ItemId item,
+                                               format::RegionId loop) {
+        hoisted.emplace_back(item, licm.view->parent_region(loop));
+      };
+      if (irdep_oracle) licm.fallback = &*irdep_oracle;
+      tally(unit.stats.licm, licm_function(func, licm));
+      for (const auto& [item, target] : hoisted) {
+        maintain::move_item_to_region(*entry, item, target);
+      }
+      boundary("LICM maintenance");
+    }
+
+    // Unrolling (Figure 6): RTL duplication + HLI table reconstruction.
+    if (options.enable_unroll) {
+      const telemetry::Span span("unroll", "pass");
+      UnrollOptions unroll;
+      unroll.factor = options.unroll_factor;
+      unroll.entry = entry;
+      tally(unit.stats.unroll, unroll_function(func, unroll));
+      boundary("unroll maintenance");
+    }
+
+    // Both scheduling passes share one configuration and one conflict
+    // cache: the HLI is not mutated between them, so the post-RA pass's
+    // re-tests hit the answers the first pass memoized.
+    query::ConflictCache conflict_cache;
+    SchedOptions sched;
+    sched.use_hli = options.use_hli;
+    sched.cache = &conflict_cache;
+    sched.batch_queries = options.batch_queries;
+    const machine::MachineDesc& mach = options.sched_machine;
+    sched.latency = [&mach](const Insn& insn) { return mach.latency(insn); };
+    const auto schedule = [&] {
+      sched.view = view();
+      if (irdep_oracle) {
+        irdep_oracle->refresh(func);  // Earlier passes rewrote the stream.
+        sched.fallback = &*irdep_oracle;
+      }
+      const DepStats stats = schedule_function(func, sched);
+      stats.record_telemetry(options.use_hli);
+      return stats;
+    };
+
+    // First scheduling pass — the instrumented experiment (Table 2).
+    if (options.enable_sched) {
+      const telemetry::Span span("sched", "pass");
+      unit.stats.sched += schedule();
+      boundary("scheduling");
+    }
+
+    // Hard-register allocation + the second scheduling pass (the rest of
+    // the -O2 pipeline the paper's GCC ran after the instrumented pass).
+    if (options.enable_regalloc) {
+      const telemetry::Span span("regalloc", "pass");
+      tally(unit.stats.regalloc, allocate_registers(func, options.regalloc));
+      if (options.enable_sched) {
+        const telemetry::Span sched2_span("sched2", "pass");
+        unit.stats.sched2 += schedule();
+      }
+      boundary("regalloc/post-RA scheduling");
+    }
+
+    if (irdep_oracle) {
+      c_fallback_queries.add(irdep_oracle->queries());
+      c_fallback_pruned.add(irdep_oracle->pruned());
+    }
+  }
+
+  // Parallel execution planning — after the LAST transforming pass, so
+  // plan positions index the stream the interpreter will actually run.
+  // The planner unions the (possibly maintained) HLI tables with fresh
+  // irdep facts; it mutates nothing but RtlFunction::parexec.
+  if (options.exec_threads > 1) {
+    const telemetry::Span span("parallelize", "pass");
+    backend::parexec::PlanOptions popts;
+    if (options.use_hli) popts.view = view();
+    popts.reports = options.analyze_loops ? &unit.loop_reports : nullptr;
+    backend::parexec::parallelize_function(*irdep_program, func, popts);
+  }
+  return unit;
+}
+
 }  // namespace
 
 std::size_t count_source_lines(std::string_view source) {
@@ -524,10 +767,6 @@ CompiledProgram compile_source(std::string_view source,
     store = &*local_store;
   }
 
-  // Back-end: map and optimize per function.  The imported entry is
-  // copied out of the store: maintenance mutates it per compilation,
-  // while the (possibly shared) store stays read-only.
-
   // Independent IR-level dependence analyzer (src/analysis/irdep): one
   // program-level sweep over the lowered RTL — exposure + bottom-up
   // REF/MOD — feeds the soundness audit, the loop classifier, and the
@@ -575,6 +814,17 @@ CompiledProgram compile_source(std::string_view source,
     // this vector across the passes it scopes.
     out.counters.per_function.reserve(out.rtl.functions.size());
   }
+  // Appends one finished unit, cold or a unit-cache hit, to the program.
+  const auto splice = [&out](std::size_t func_index, CachedUnit unit,
+                             bool has_hli) {
+    out.rtl.functions[func_index] = std::move(unit.rtl);
+    if (has_hli) out.hli.entries.push_back(std::move(unit.hli));
+    out.stats += unit.stats;
+    out.verify_log += unit.verify_log;
+    out.audit_log += unit.audit_log;
+    out.loop_reports.insert(out.loop_reports.end(), unit.loop_reports.begin(),
+                            unit.loop_reports.end());
+  };
   for (std::size_t func_index = 0; func_index < out.rtl.functions.size();
        ++func_index) {
     RtlFunction& func = out.rtl.functions[func_index];
@@ -588,33 +838,22 @@ CompiledProgram compile_source(std::string_view source,
       function_recorder.emplace(&out.counters.per_function.back().second);
     }
 
-    // Unit-cache lookup.  A hit replaces this entire iteration: the
-    // cached RTL/HLI/stats/reports are spliced in and the cold run's
+    // Unit-cache lookup.  A hit replaces the unit's whole sequence: the
+    // cached record is spliced in like a cold one and the cold run's
     // per-unit counters replayed, so outputs are byte-identical to
-    // recompiling while mapping, every pass, verification and planning
-    // are all skipped.  Only HLI-carrying units participate —
-    // unit_checksum is the key's HLI leg, and the no-HLI path below is
-    // already pass-free.  NOTE: the replayed counters already include
-    // pipeline.functions_compiled, hence the add(1) after the check.
+    // recompiling.  Only HLI-carrying units participate — unit_checksum
+    // is the key's HLI leg, and a unit without HLI runs no pass.  NOTE:
+    // the replayed counters already include pipeline.functions_compiled,
+    // hence the add(1) after the check.
     std::optional<UnitCacheKey> cache_key;
     if (unit_cache != nullptr) {
       if (const std::optional<std::uint64_t> hli_fp =
               store->unit_checksum(func.name)) {
-        cache_key.emplace();
-        cache_key->rtl_fp = support::fnv1a64_mix(env_fp,
-                                                 lowered_fps[func_index]);
-        cache_key->hli_fp = *hli_fp;
-        cache_key->options_fp = options_fp;
+        cache_key = UnitCacheKey{
+            support::fnv1a64_mix(env_fp, lowered_fps[func_index]), *hli_fp,
+            options_fp};
         if (const std::shared_ptr<const CachedUnit> hit =
                 unit_cache->lookup(*cache_key)) {
-          func = hit->rtl;
-          out.hli.entries.push_back(hit->hli);
-          out.stats += hit->stats;
-          out.verify_log += hit->verify_log;
-          out.audit_log += hit->audit_log;
-          out.loop_reports.insert(out.loop_reports.end(),
-                                  hit->loop_reports.begin(),
-                                  hit->loop_reports.end());
           // With counters on this lands in the per-function set installed
           // above and merges up to the program total; with counters off
           // the cached set is empty by keying (telemetry.counters is in
@@ -623,6 +862,7 @@ CompiledProgram compile_source(std::string_view source,
           if (telemetry::CounterSet* sink = telemetry::current_counters()) {
             *sink += hit->counters;
           }
+          splice(func_index, *hit, true);
           continue;
         }
       }
@@ -630,300 +870,21 @@ CompiledProgram compile_source(std::string_view source,
     c_functions_compiled.add(1);
 
     const format::HliEntry* imported = store->get(func.name);
-    if (imported == nullptr) {
-      // No HLI for this function: it skips the optimizing passes (as
-      // always), but the loop classifier still reports its loops from
-      // irdep facts alone.
-      if (options.analyze_loops) {
-        const telemetry::Span span("analyze-loops", "pass");
-        const std::vector<irdep::LoopReport> reports =
-            irdep::classify_function(*irdep_program, func, nullptr);
-        out.loop_reports.insert(out.loop_reports.end(), reports.begin(),
-                                reports.end());
-      }
-      // No HLI also means no transforming pass ran: the stream is final,
-      // so the parallel planner can work from irdep facts alone.
-      if (options.exec_threads > 1) {
-        const telemetry::Span span("parallelize", "pass");
-        backend::parexec::PlanOptions popts;
-        popts.reports = options.analyze_loops ? &out.loop_reports : nullptr;
-        backend::parexec::parallelize_function(*irdep_program, func, popts);
-      }
-      continue;
-    }
-    // Everything below accumulates into unit-scoped state (stats, log and
-    // report slices) so a successful cold iteration can be published to
-    // the unit cache verbatim at the bottom of the loop.
-    ProgramStats unit_stats;
-    const std::size_t loop_reports_base = out.loop_reports.size();
-    const std::size_t verify_log_base = out.verify_log.size();
-    const std::size_t audit_log_base = out.audit_log.size();
-
-    out.hli.entries.push_back(*imported);
-    format::HliEntry* entry = &out.hli.entries.back();
-    const MapResult mapping = map_items(func, *entry);
-    mapping.record_telemetry();
-    unit_stats.mapped_items += mapping.mapped;
-    if (!mapping.perfect()) unit_stats.map_perfect = false;
-
-    // Invariant verification at every pass boundary (VerifyMode): each
-    // maintenance batch must hand the next pass a table set that still
-    // satisfies the paper's conservative-correctness contract.
-    const auto verify_boundary =
-        [&](const char* boundary,
-            const std::vector<verify::MappedRef>* refs = nullptr) {
-          if (options.verify_hli == VerifyMode::Off) return;
-          const telemetry::Span span("verify", "verify");
-          verify::VerifyOptions vopts;
-          vopts.audit_on_findings = true;
-          vopts.mapped_refs = refs;
-          const verify::VerifyResult result = verify::verify_entry(*entry, vopts);
-          unit_stats.verify_checks += result.checks_run;
-          c_verify_checks.add(result.checks_run);
-          if (result.ok()) return;
-          unit_stats.verify_findings += result.findings.size();
-          c_verify_findings.add(result.findings.size());
-          const std::string report = "HLI verifier: unit '" + func.name +
-                                     "' dirty after " + boundary + ":\n" +
-                                     result.render(func.name);
-          if (options.verify_hli == VerifyMode::Fatal) {
-            throw support::CompileError(report);
-          }
-          out.verify_log += report;
-        };
-    // Independent soundness audit (--audit-deps), run at the SAME
-    // boundaries as the invariant verifier: rebuild the function model
-    // from the current instruction stream and flag every HLI claim of
-    // total independence (may_conflict None + empty LCDD — exactly what
-    // licenses reordering/hoisting) that irdep refutes with a proof.
-    const auto audit_boundary = [&](const char* boundary) {
-      if (options.audit_deps == VerifyMode::Off) return;
-      const telemetry::Span span("audit-deps", "verify");
-      irdep::FunctionDepInfo fdi(*irdep_program, func);
-      const query::HliUnitView view(*entry);
-      const irdep::AuditResult result = irdep::audit_function(fdi, view);
-      unit_stats.audit_checks += result.checks;
-      if (result.ok()) return;
-      unit_stats.audit_findings += result.findings.size();
-      std::string report = "irdep audit: unit '" + func.name +
-                           "' unsound after " + std::string(boundary) + ":\n";
-      for (const verify::Finding& finding : result.findings) {
-        report += "  " + func.name + ": " + verify::to_string(finding) + "\n";
-      }
-      if (options.audit_deps == VerifyMode::Fatal) {
-        throw support::CompileError(report);
-      }
-      out.audit_log += report;
-    };
-    {
-      const std::vector<verify::MappedRef> refs = collect_mapped_refs(func);
-      verify_boundary("import/mapping", &refs);
-      audit_boundary("import/mapping");
-    }
-
-    // Loop classification (--analyze=loops): right after import/mapping,
-    // before any transform reshapes the loops, so the report describes
-    // the program the user wrote.  The combined column unions HLI facts
-    // in only when this compilation actually uses them.
-    if (options.analyze_loops) {
-      const telemetry::Span span("analyze-loops", "pass");
-      const query::HliUnitView view(*entry);
-      const std::vector<irdep::LoopReport> reports = irdep::classify_function(
-          *irdep_program, func, options.use_hli ? &view : nullptr);
-      out.loop_reports.insert(out.loop_reports.end(), reports.begin(),
-                              reports.end());
-    }
-
-    // Fallback dependence oracle (--irdep-fallback): handed to CSE, LICM
-    // and both scheduling passes.  Built on the post-mapping stream;
-    // refreshed before every pass that runs after a stream-rewriting one
-    // (LICM refreshes internally, per loop).
-    std::optional<irdep::IrdepOracle> irdep_oracle;
-    if (options.irdep_fallback) {
-      irdep_oracle.emplace(*irdep_program, func);
-    }
-
-    // CSE (Figure 4): deleted loads drop their items from the HLI.  The
-    // deletions are DEFERRED until the pass finishes: maintenance bumps
-    // the entry's generation counter and would otherwise invalidate the
-    // live view mid-pass (delete_item never changes the answer for the
-    // still-live items the pass keeps querying, so deferral is safe).
-    if (options.enable_cse) {
-      const telemetry::Span span("cse", "pass");
-      const query::HliUnitView view(*entry);
-      std::vector<format::ItemId> deleted;
-      CseOptions cse;
-      cse.use_hli = options.use_hli;
-      cse.view = &view;
-      cse.batch_queries = options.batch_queries;
-      cse.on_load_deleted = [&deleted](format::ItemId item) {
-        deleted.push_back(item);
-      };
-      if (irdep_oracle) cse.fallback = &*irdep_oracle;
-      const CseStats cse_stats = cse_function(func, cse);
-      cse_stats.record_telemetry();
-      unit_stats.cse += cse_stats;
-      for (const format::ItemId item : deleted) {
-        maintain::delete_item(*entry, item);
-      }
-      verify_boundary("CSE maintenance");
-      audit_boundary("CSE maintenance");
-    }
-
-    // Combine-style constant folding before the dead-code sweep.
-    if (options.enable_constfold) {
-      const telemetry::Span span("constfold", "pass");
-      const ConstFoldStats constfold_stats = constfold_function(func);
-      constfold_stats.record_telemetry();
-      unit_stats.constfold += constfold_stats;
-    }
-
-    // Flow-style dead code elimination: sweep the Moves CSE left behind.
-    if (options.enable_dce) {
-      const telemetry::Span span("dce", "pass");
-      DceOptions dce;
-      dce.on_load_deleted = [entry](format::ItemId item) {
-        maintain::delete_item(*entry, item);
-      };
-      const DceStats dce_stats = dce_function(func, dce);
-      dce_stats.record_telemetry();
-      unit_stats.dce += dce_stats;
-      verify_boundary("DCE maintenance");
-      audit_boundary("DCE maintenance");
-    }
-
-    // LICM: hoisted loads move to the loop's parent region (moves applied
-    // after the pass, like the CSE deletions, to keep the view fresh).
-    if (options.enable_licm) {
-      const telemetry::Span span("licm", "pass");
-      const query::HliUnitView view(*entry);
-      std::vector<std::pair<format::ItemId, format::RegionId>> hoisted;
-      LicmOptions licm;
-      licm.use_hli = options.use_hli;
-      licm.view = &view;
-      licm.batch_queries = options.batch_queries;
-      licm.on_load_hoisted = [&hoisted, &view](format::ItemId item,
-                                               format::RegionId loop) {
-        hoisted.emplace_back(item, view.parent_region(loop));
-      };
-      if (irdep_oracle) licm.fallback = &*irdep_oracle;
-      const LicmStats licm_stats = licm_function(func, licm);
-      licm_stats.record_telemetry();
-      unit_stats.licm += licm_stats;
-      for (const auto& [item, target] : hoisted) {
-        maintain::move_item_to_region(*entry, item, target);
-      }
-      verify_boundary("LICM maintenance");
-      audit_boundary("LICM maintenance");
-    }
-
-    // Unrolling (Figure 6): RTL duplication + HLI table reconstruction.
-    if (options.enable_unroll) {
-      const telemetry::Span span("unroll", "pass");
-      UnrollOptions unroll;
-      unroll.factor = options.unroll_factor;
-      unroll.entry = entry;
-      const UnrollStats unroll_stats = unroll_function(func, unroll);
-      unroll_stats.record_telemetry();
-      unit_stats.unroll += unroll_stats;
-      verify_boundary("unroll maintenance");
-      audit_boundary("unroll maintenance");
-    }
-
-    // First scheduling pass — the instrumented experiment (Table 2).  The
-    // conflict cache memoizes the view's may_conflict answers per item
-    // pair; it is shared with the post-RA pass below (the HLI is not
-    // mutated between the passes), so sched2 re-tests hit the cache.
-    query::ConflictCache conflict_cache;
-    if (options.enable_sched) {
-      const telemetry::Span span("sched", "pass");
-      const query::HliUnitView view(*entry);
-      SchedOptions sched;
-      sched.use_hli = options.use_hli;
-      sched.view = &view;
-      sched.cache = &conflict_cache;
-      sched.batch_queries = options.batch_queries;
-      const machine::MachineDesc& mach = options.sched_machine;
-      sched.latency = [&mach](const Insn& insn) { return mach.latency(insn); };
-      if (irdep_oracle) {
-        irdep_oracle->refresh(func);  // Constfold/DCE/unroll rewrote insns.
-        sched.fallback = &*irdep_oracle;
-      }
-      const DepStats sched_stats = schedule_function(func, sched);
-      sched_stats.record_telemetry(options.use_hli);
-      unit_stats.sched += sched_stats;
-      verify_boundary("scheduling");
-      audit_boundary("scheduling");
-    }
-
-    // Hard-register allocation + the second scheduling pass (the rest of
-    // the -O2 pipeline the paper's GCC ran after the instrumented pass).
-    if (options.enable_regalloc) {
-      const telemetry::Span span("regalloc", "pass");
-      const RegAllocStats ra_stats = allocate_registers(func, options.regalloc);
-      ra_stats.record_telemetry();
-      unit_stats.regalloc += ra_stats;
-      if (options.enable_sched) {
-        const telemetry::Span sched2_span("sched2", "pass");
-        const query::HliUnitView view(*entry);
-        SchedOptions sched;
-        sched.use_hli = options.use_hli;
-        sched.view = &view;
-        sched.cache = &conflict_cache;
-        sched.batch_queries = options.batch_queries;
-        const machine::MachineDesc& mach = options.sched_machine;
-        sched.latency = [&mach](const Insn& insn) { return mach.latency(insn); };
-        if (irdep_oracle) {
-          irdep_oracle->refresh(func);  // Regalloc rewrote the stream.
-          sched.fallback = &*irdep_oracle;
-        }
-        const DepStats sched2_stats = schedule_function(func, sched);
-        sched2_stats.record_telemetry(options.use_hli);
-        unit_stats.sched2 += sched2_stats;
-      }
-      verify_boundary("regalloc/post-RA scheduling");
-      audit_boundary("regalloc/post-RA scheduling");
-    }
-
-    if (irdep_oracle) {
-      c_fallback_queries.add(irdep_oracle->queries());
-      c_fallback_pruned.add(irdep_oracle->pruned());
-    }
-
-    // Parallel execution planning — after the LAST transforming pass, so
-    // plan positions index the stream the interpreter will actually run.
-    // The planner unions the (possibly maintained) HLI tables with fresh
-    // irdep facts; it mutates nothing but RtlFunction::parexec.
-    if (options.exec_threads > 1) {
-      const telemetry::Span span("parallelize", "pass");
-      const query::HliUnitView view(*entry);
-      backend::parexec::PlanOptions popts;
-      if (options.use_hli) popts.view = &view;
-      popts.reports = options.analyze_loops ? &out.loop_reports : nullptr;
-      backend::parexec::parallelize_function(*irdep_program, func, popts);
-    }
-
-    out.stats += unit_stats;
+    CachedUnit unit = compile_unit(
+        std::move(func), imported, options,
+        irdep_program ? &*irdep_program : nullptr);
     // Publish the finished unit.  Only reached on success — a Fatal
-    // verify/audit throw above unwinds past this, so a dirty unit is
-    // never cached.  The per-function CounterSet is complete here (every
-    // increment of this iteration already landed in it); it is captured
-    // before the recorder's scope-exit merge, which only propagates
-    // upward and never mutates the per-function set itself.
+    // verify/audit throw unwinds past this, so a dirty unit is never
+    // cached.  The per-function CounterSet is complete here; it is
+    // captured before the recorder's scope-exit merge, which only
+    // propagates upward and never mutates the per-function set itself.
     if (cache_key) {
-      CachedUnit cached;
-      cached.rtl = func;
-      cached.hli = *entry;
-      cached.stats = unit_stats;
       if (options.telemetry.counters) {
-        cached.counters = out.counters.per_function.back().second;
+        unit.counters = out.counters.per_function.back().second;
       }
-      cached.loop_reports.assign(out.loop_reports.begin() + loop_reports_base,
-                                 out.loop_reports.end());
-      cached.verify_log = out.verify_log.substr(verify_log_base);
-      cached.audit_log = out.audit_log.substr(audit_log_base);
-      unit_cache->insert(*cache_key, std::move(cached));
+      unit_cache->insert(*cache_key, unit);
     }
+    splice(func_index, std::move(unit), imported != nullptr);
   }
   out.exec_threads = options.exec_threads;
   return out;

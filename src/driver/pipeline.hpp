@@ -129,8 +129,10 @@ struct PipelineOptions {
   /// Answer each pass's HLI pair questions from one per-block (per-loop)
   /// BlockConflictMatrix — packed bitset planes bit-identical to the
   /// scalar view, so optimized RTL and all Table 2 statistics are
-  /// byte-identical with this on or off; only query cost changes.  On by
-  /// default; `--no-batch-queries` (tools) forces the scalar path.
+  /// byte-identical with this on or off; only query cost changes.  Always
+  /// on for the tools and the wire; `false` keeps the scalar per-pair
+  /// path as the test reference (BatchQueryTest, the hli-scalar-queries
+  /// fuzz leg).
   bool batch_queries = true;
   bool enable_constfold = true;  ///< Combine-style constant folding.
   bool enable_dce = true;  ///< Flow-style cleanup after CSE/LICM.
@@ -205,7 +207,8 @@ struct PipelineOptions {
   /// stays as-is (validate() rejects a store with use_hli off).
   [[nodiscard]] PipelineOptions with_store(const hli::HliStore* store) const;
   [[nodiscard]] PipelineOptions with_cse(bool on) const;
-  /// Per-block conflict-matrix query batching (docs/query-batching.md).
+  /// Per-block conflict-matrix query batching (docs/query-batching.md);
+  /// `false` selects the scalar test reference.
   [[nodiscard]] PipelineOptions with_batch_queries(bool on) const;
   [[nodiscard]] PipelineOptions with_constfold(bool on) const;
   [[nodiscard]] PipelineOptions with_dce(bool on) const;
@@ -288,10 +291,13 @@ struct UnitCacheKey {
   [[nodiscard]] std::uint64_t hash() const;
 };
 
-/// Everything a unit-cache hit must replay to make the warm compile
-/// byte-identical to a cold one: the optimized instruction stream
-/// (parexec plans included), the maintained HLI entry, the per-unit
-/// statistics/counters/loop reports, and any warn-mode logs.
+/// One compiled unit's whole contribution to the program: the optimized
+/// instruction stream (parexec plans included), the maintained HLI entry,
+/// the per-unit statistics/counters/loop reports, and any warn-mode logs.
+/// compile_source splices a cold unit's record and a unit-cache hit the
+/// same way, which is what makes the warm compile byte-identical to a
+/// cold one.  `counters` is filled only for records published to a cache
+/// (a cold unit's increments land live).
 struct CachedUnit {
   backend::RtlFunction rtl;
   format::HliEntry hli;

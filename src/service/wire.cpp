@@ -213,7 +213,6 @@ std::string encode_options(const driver::PipelineOptions& options) {
                 options.hli_encoding == driver::HliEncoding::Binary
                     ? std::string_view("binary")
                     : std::string_view("text"));
-  append_option(out, "batch_queries", options.batch_queries);
   append_option(out, "cse", options.enable_cse);
   append_option(out, "constfold", options.enable_constfold);
   append_option(out, "dce", options.enable_dce);
@@ -263,8 +262,6 @@ driver::PipelineOptions decode_options(std::string_view text) {
                            "bad value '" + std::string(value) +
                                "' for option 'encoding'");
       }
-    } else if (key == "batch_queries") {
-      options.batch_queries = parse_bool(value, key);
     } else if (key == "cse") {
       options.enable_cse = parse_bool(value, key);
     } else if (key == "constfold") {

@@ -31,7 +31,7 @@
 namespace hli::service {
 
 inline constexpr char kMagic[4] = {'H', 'L', 'S', 'V'};
-inline constexpr std::uint8_t kProtocolVersion = 1;
+inline constexpr std::uint8_t kProtocolVersion = 2;
 inline constexpr std::size_t kHeaderBytes = 12;
 /// Upper bound a reader accepts for one payload; a header announcing
 /// more is a protocol error (malformed or hostile frame), not an

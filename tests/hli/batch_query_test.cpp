@@ -7,6 +7,7 @@
 // batched DDG construction cannot change a single edge — which the RTL
 // identity test at the bottom then confirms end-to-end.
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -244,19 +245,30 @@ std::string rtl_dump(const backend::RtlProgram& rtl) {
 }
 
 TEST(BatchQueryTest, RtlByteIdenticalBatchingOnAndOff) {
-  // The end-to-end form of the bit-identity contract: every workload's
-  // full production compile (all passes, regalloc, both scheduling
-  // passes) must emit byte-identical RTL with batching on and off.
-  for (const auto& workload : workloads::all_workloads()) {
-    const driver::PipelineOptions batched =
-        driver::PipelineOptions::production().with_batch_queries(true);
-    const driver::PipelineOptions scalar =
-        driver::PipelineOptions::production().with_batch_queries(false);
-    const driver::CompiledProgram on =
-        driver::compile_source(workload.source, batched);
-    const driver::CompiledProgram off =
-        driver::compile_source(workload.source, scalar);
-    ASSERT_EQ(rtl_dump(on.rtl), rtl_dump(off.rtl)) << workload.name;
+  // The end-to-end form of the bit-identity contract: every program of
+  // the suite (14 C + 3 BASIC), under the paper's Table 2 configuration
+  // and the full production pipeline (all passes, regalloc, both
+  // scheduling passes), must emit byte-identical RTL with batching on
+  // and off.  The scalar path is the reference the batched one answers
+  // against.
+  std::vector<workloads::Workload> programs = workloads::all_workloads();
+  for (const auto& workload : workloads::basic_workloads()) {
+    programs.push_back(workload);
+  }
+  ASSERT_EQ(programs.size(), 17u);
+  for (const auto& [label, preset] :
+       {std::pair{"paper_table2", driver::PipelineOptions::paper_table2()},
+        std::pair{"production", driver::PipelineOptions::production()}}) {
+    for (const auto& workload : programs) {
+      const driver::PipelineOptions options =
+          preset.with_language(workload.language);
+      const driver::CompiledProgram on = driver::compile_source(
+          workload.source, options.with_batch_queries(true));
+      const driver::CompiledProgram off = driver::compile_source(
+          workload.source, options.with_batch_queries(false));
+      ASSERT_EQ(rtl_dump(on.rtl), rtl_dump(off.rtl))
+          << workload.name << " under " << label;
+    }
   }
 }
 

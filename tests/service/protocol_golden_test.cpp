@@ -24,16 +24,16 @@ std::string bytes(std::initializer_list<unsigned char> list) {
 }
 
 TEST(ProtocolGoldenTest, HeaderLayoutIsPinned) {
-  // magic "HLSV" | version 1 | type Ping=4 | flags 0 | payload_len 0.
+  // magic "HLSV" | version 2 | type Ping=4 | flags 0 | payload_len 0.
   const std::string frame = encode_frame(FrameType::Ping, "");
-  EXPECT_EQ(frame, bytes({'H', 'L', 'S', 'V', 1, 4, 0, 0, 0, 0, 0, 0}));
+  EXPECT_EQ(frame, bytes({'H', 'L', 'S', 'V', 2, 4, 0, 0, 0, 0, 0, 0}));
   EXPECT_EQ(frame.size(), kHeaderBytes);
 }
 
 TEST(ProtocolGoldenTest, PayloadLengthIsLittleEndian) {
   const std::string frame = encode_frame(FrameType::Request, "abc");
   EXPECT_EQ(frame.substr(0, kHeaderBytes),
-            bytes({'H', 'L', 'S', 'V', 1, 1, 0, 0, 3, 0, 0, 0}));
+            bytes({'H', 'L', 'S', 'V', 2, 1, 0, 0, 3, 0, 0, 0}));
   EXPECT_EQ(frame.substr(kHeaderBytes), "abc");
 }
 
@@ -108,7 +108,7 @@ TEST(ProtocolGoldenTest, DecoderRoundTripsAnyFragmentation) {
 
 TEST(ProtocolGoldenTest, DecoderRejectsBadMagic) {
   FrameDecoder decoder;
-  decoder.feed(bytes({'N', 'O', 'P', 'E', 1, 4, 0, 0, 0, 0, 0, 0}));
+  decoder.feed(bytes({'N', 'O', 'P', 'E', 2, 4, 0, 0, 0, 0, 0, 0}));
   Frame out;
   try {
     (void)decoder.next(out);
@@ -119,23 +119,24 @@ TEST(ProtocolGoldenTest, DecoderRejectsBadMagic) {
 }
 
 TEST(ProtocolGoldenTest, DecoderRejectsVersionMismatch) {
-  // A frame from a hypothetical protocol v2 must be rejected BEFORE the
-  // payload is interpreted.
-  const std::string frame =
-      encode_frame(FrameType::Ping, "", /*version=*/2);
-  FrameDecoder decoder;
-  decoder.feed(frame);
-  Frame out;
-  try {
-    (void)decoder.next(out);
-    FAIL() << "future protocol version accepted";
-  } catch (const ServiceError& e) {
-    EXPECT_EQ(e.code(), ErrorCode::VersionMismatch);
+  // Frames from the retired protocol v1 and a hypothetical v3 must both
+  // be rejected BEFORE the payload is interpreted.
+  for (const std::uint8_t version : {1, 3}) {
+    const std::string frame = encode_frame(FrameType::Ping, "", version);
+    FrameDecoder decoder;
+    decoder.feed(frame);
+    Frame out;
+    try {
+      (void)decoder.next(out);
+      FAIL() << "protocol version " << int{version} << " accepted";
+    } catch (const ServiceError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::VersionMismatch);
+    }
   }
 }
 
 TEST(ProtocolGoldenTest, DecoderRejectsOversizedPayloadAnnouncement) {
-  std::string header = bytes({'H', 'L', 'S', 'V', 1, 1, 0, 0});
+  std::string header = bytes({'H', 'L', 'S', 'V', 2, 1, 0, 0});
   // payload_len = kMaxPayloadBytes + 1, little-endian.
   const std::uint32_t len = kMaxPayloadBytes + 1;
   for (int i = 0; i < 4; ++i) {
@@ -226,6 +227,19 @@ TEST(ProtocolGoldenTest, OptionsCodecRejectsUnknownKeyAndBadValue) {
   try {
     (void)decode_options("machine=vax\n");
     FAIL() << "unknown machine accepted";
+  } catch (const ServiceError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::BadRequest);
+  }
+}
+
+TEST(ProtocolGoldenTest, OptionsCodecHasNoScalarQueryKey) {
+  // Scalar-vs-batched HLI queries is an in-process test reference only:
+  // the key is not encoded, and a request still carrying it is refused.
+  EXPECT_EQ(encode_options(hli::driver::PipelineOptions{}).find("batch_queries"),
+            std::string::npos);
+  try {
+    (void)decode_options("batch_queries=0\n");
+    FAIL() << "retired batch_queries key accepted";
   } catch (const ServiceError& e) {
     EXPECT_EQ(e.code(), ErrorCode::BadRequest);
   }

@@ -312,9 +312,9 @@ TEST(ServiceFaultTest, MalformedMagicGetsErrorFrame) {
 TEST(ServiceFaultTest, VersionMismatchRejectedBeforePayload) {
   ServerFixture fixture;
   Client client = fixture.connect();
-  // A well-formed frame from protocol version 2 — the payload would be
-  // a valid Ping, but the version gate must fire first.
-  client.send_raw(encode_frame(FrameType::Ping, "", /*version=*/2));
+  // A well-formed frame from the retired protocol version 1 — the
+  // payload would be a valid Ping, but the version gate must fire first.
+  client.send_raw(encode_frame(FrameType::Ping, "", /*version=*/1));
   const Frame frame = client.read_frame();
   ASSERT_EQ(frame.type, FrameType::Error);
   const std::vector<Tlv> fields = parse_fields(frame.payload);

@@ -122,9 +122,6 @@ void apply_matrix_overrides(const tools::CommonOptions& common,
     if (common.emit_set) {
       config.options = config.options.with_encoding(common.emit);
     }
-    if (common.batch_queries_set) {
-      config.options = config.options.with_batch_queries(common.batch_queries);
-    }
   }
 }
 

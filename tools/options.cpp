@@ -114,11 +114,6 @@ ParseStatus parse_common_flag(int argc, char** argv, int& i, const char* tool,
     std::fprintf(stderr, "%s: --trace-out expects a path\n", tool);
     return ParseStatus::Error;
   }
-  if (arg == "--no-batch-queries") {
-    out.batch_queries = false;
-    out.batch_queries_set = true;
-    return ParseStatus::Handled;
-  }
   if (arg == "--audit-deps" || arg == "--audit-deps=fatal") {
     out.audit_deps = driver::VerifyMode::Fatal;
     out.audit_deps_set = true;
@@ -208,8 +203,6 @@ const char* common_usage() {
          "  --jobs[=]N                 worker threads (0 = all cores)\n"
          "  --trace-out=PATH           Chrome trace_event JSON timeline\n"
          "  --stats[=table|json]       telemetry counter report\n"
-         "  --no-batch-queries         scalar per-pair HLI queries (no "
-         "per-block conflict matrices)\n"
          "  --audit-deps[=fatal|warn]  independent-analyzer audit of HLI "
          "independence claims\n"
          "  --analyze=loops            DOALL/DOACROSS/Serial loop "
@@ -285,9 +278,6 @@ driver::PipelineOptions apply(const CommonOptions& common,
   driver::PipelineOptions options = base;
   if (common.verify_hli_set) options = options.with_verify(common.verify_hli);
   if (common.emit_set) options = options.with_encoding(common.emit);
-  if (common.batch_queries_set) {
-    options = options.with_batch_queries(common.batch_queries);
-  }
   if (common.audit_deps_set) options = options.with_audit_deps(common.audit_deps);
   if (common.analyze_loops_set) {
     options = options.with_analyze_loops(common.analyze_loops);

@@ -1,6 +1,6 @@
 // Shared command-line vocabulary for the hli tools (hlic, hlifuzz).
 //
-// Every tool that drives the pipeline accepts the same five flags with
+// Every tool that drives the pipeline accepts the same shared flags with
 // the same spellings and the same error messages:
 //
 //   --verify-hli[=fatal|warn]   invariant verifier at every pass boundary
@@ -9,8 +9,6 @@
 //   --trace-out=PATH            write a Chrome trace_event JSON file
 //   --stats[=table|json]       telemetry counter report (table to stdout,
 //                               json as one deterministic document)
-//   --no-batch-queries          answer HLI block queries with the scalar
-//                               per-pair path (escape hatch; RTL identical)
 //   --audit-deps[=fatal|warn]   independent-analyzer soundness audit of
 //                               HLI independence claims at pass boundaries
 //   --analyze=loops             DOALL/DOACROSS/Serial loop classification
@@ -43,7 +41,7 @@ enum class StatsFormat : std::uint8_t {
   Json,   ///< One JSON document, byte-identical for any --jobs value.
 };
 
-/// The five shared flags, parsed but not yet applied.  The *_set bools
+/// The shared flags, parsed but not yet applied.  The *_set bools
 /// let a tool distinguish "flag absent" from "flag at its default" —
 /// hlifuzz only overrides its matrix when the user actually asked.
 struct CommonOptions {
@@ -54,12 +52,6 @@ struct CommonOptions {
   unsigned jobs = 0;  ///< 0: driver default (all cores).
   std::string trace_out;
   StatsFormat stats = StatsFormat::Off;
-  /// --no-batch-queries: force the scalar per-pair HLI query path instead
-  /// of per-block BlockConflictMatrix planes.  Output is byte-identical
-  /// either way (docs/query-batching.md); the flag exists to isolate the
-  /// batching layer when debugging and to measure its effect.
-  bool batch_queries = true;
-  bool batch_queries_set = false;
   /// --audit-deps: independent RTL-level re-derivation of dependences at
   /// every pass boundary, flagging HLI independence claims it refutes.
   driver::VerifyMode audit_deps = driver::VerifyMode::Off;
