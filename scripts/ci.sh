@@ -97,13 +97,18 @@ stage_parexec() {
   cmake --build build -j "$JOBS" --target hlic
   # Byte-identity gate: `--run` stdout (return value, output hash, emit
   # count, dynamic insns) must match a serial run exactly on every
-  # workload at 4 lanes; the parexec summary goes to stderr by design.
-  local workloads w
+  # workload at 2, 3 and 4 lanes; the parexec summary goes to stderr by
+  # design.  DOALL chunk shapes follow the lane count, and 3 lanes gives
+  # uneven tiles.
+  local workloads w n
   workloads=$(./build/tools/hlic --list-workloads | awk '{print $1}')
   for w in $workloads; do
     ./build/tools/hlic "$w" --run > "build/RUN_serial_$w.txt"
-    ./build/tools/hlic "$w" --run --exec-threads=4 > "build/RUN_par4_$w.txt"
-    cmp "build/RUN_serial_$w.txt" "build/RUN_par4_$w.txt"
+    for n in 2 3 4; do
+      ./build/tools/hlic "$w" --run --exec-threads=$n \
+        > "build/RUN_par${n}_$w.txt"
+      cmp "build/RUN_serial_$w.txt" "build/RUN_par${n}_$w.txt"
+    done
   done
   # Non-vacuousness: the grids must actually dispatch, and the DOACROSS
   # post-wait path must run (elided syncs only tick on ordered dispatch).

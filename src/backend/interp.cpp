@@ -1,8 +1,11 @@
 #include "backend/interp.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
@@ -54,11 +57,48 @@ struct ExecCtx {
   bool is_worker = false;
 };
 
+/// The program's address space: one private anonymous mapping.  The
+/// kernel supplies zero pages on first touch, so a run pays for the pages
+/// it uses rather than for zero-filling the whole arena up front.
+class Arena {
+ public:
+  explicit Arena(std::size_t bytes) {
+    void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (p != MAP_FAILED) {
+      data_ = static_cast<std::uint8_t*>(p);
+      size_ = bytes;
+    }
+  }
+  ~Arena() {
+    if (data_ != nullptr) ::munmap(data_, size_);
+  }
+  Arena(const Arena&) = delete;
+  Arena& operator=(const Arena&) = delete;
+
+  [[nodiscard]] bool mapped() const { return data_ != nullptr; }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  std::uint8_t& operator[](std::uint64_t addr) { return data_[addr]; }
+  const std::uint8_t& operator[](std::uint64_t addr) const {
+    return data_[addr];
+  }
+
+ private:
+  std::uint8_t* data_ = nullptr;
+  std::size_t size_ = 0;
+};
+
+/// Resolved-target sentinels: a call to a built-in extern, and a branch
+/// whose label the function does not define.
+constexpr std::size_t kExtern = SIZE_MAX;
+constexpr std::size_t kNoLabel = SIZE_MAX;
+
 class Interp {
  public:
   Interp(const RtlProgram& prog, TraceSink* sink, const InterpOptions& options)
-      : prog_(prog), sink_(sink), options_(options) {
-    memory_.resize(options.memory_bytes);
+      : prog_(prog), sink_(sink), options_(options),
+        memory_(options.memory_bytes) {
+    if (!memory_.mapped()) return;  // run() reports it.
     // Globals at the bottom (address 8 upward; 0 stays "null").
     std::uint64_t at = 8;
     for (const GlobalVar& g : prog.globals) {
@@ -72,13 +112,7 @@ class Interp {
     }
     stack_base_ = (at + 63) / 64 * 64;
     master_limit_ = memory_.size();
-    // Pre-index labels per function.
-    for (const RtlFunction& f : prog.functions) {
-      auto& map = labels_[&f];
-      for (std::size_t i = 0; i < f.insns.size(); ++i) {
-        if (f.insns[i].op == Opcode::Label) map[f.insns[i].label] = i;
-      }
-    }
+    resolve_targets();
     // Parallel dispatch needs per-lane stacks for the pure calls a loop
     // body may make: lanes 1..W-1 get fixed regions carved off the TOP
     // of the arena (lane 0 — the calling thread — keeps using the master
@@ -108,6 +142,11 @@ class Interp {
 
   RunResult run(const std::string& entry) {
     RunResult result;
+    if (!memory_.mapped()) {
+      result.error = "interp: cannot map a " +
+                     std::to_string(options_.memory_bytes) + "-byte arena";
+      return result;
+    }
     const RtlFunction* func = prog_.find_function(entry);
     if (func == nullptr) {
       result.error = "no entry function '" + entry + "'";
@@ -118,7 +157,9 @@ class Interp {
     ctx.stack_limit = master_limit_;
     ctx.hard_cap = options_.max_insns;
     try {
-      const Value ret = call(*func, {}, ctx);
+      const Value ret =
+          call(static_cast<std::size_t>(func - prog_.functions.data()), {},
+               ctx);
       result.return_value = ret.i;
       result.ok = true;
     } catch (const std::runtime_error& e) {
@@ -145,8 +186,41 @@ class Interp {
     throw std::runtime_error("interp: " + message);
   }
 
+  /// Resolves every branch to its label's pc and every call to its
+  /// callee's index (kExtern for built-ins) once, so the dispatch loop
+  /// follows control flow by indexing instead of by lookup.
+  void resolve_targets() {
+    std::unordered_map<std::string, std::size_t> index;
+    for (std::size_t f = 0; f < prog_.functions.size(); ++f) {
+      index.emplace(prog_.functions[f].name, f);  // First wins, as lookup.
+    }
+    targets_.resize(prog_.functions.size());
+    for (std::size_t f = 0; f < prog_.functions.size(); ++f) {
+      const std::vector<Insn>& insns = prog_.functions[f].insns;
+      std::unordered_map<std::int32_t, std::size_t> labels;
+      for (std::size_t i = 0; i < insns.size(); ++i) {
+        if (insns[i].op == Opcode::Label) labels.emplace(insns[i].label, i);
+      }
+      std::vector<std::size_t>& target = targets_[f];
+      target.assign(insns.size(), kNoLabel);
+      for (std::size_t i = 0; i < insns.size(); ++i) {
+        const Insn& insn = insns[i];
+        if (insn.op == Opcode::Jump || insn.op == Opcode::BranchZ ||
+            insn.op == Opcode::BranchNZ) {
+          const auto it = labels.find(insn.label);
+          if (it != labels.end()) target[i] = it->second;
+        } else if (insn.op == Opcode::Call) {
+          const auto it = index.find(insn.callee);
+          target[i] = it != index.end() ? it->second : kExtern;
+        }
+      }
+    }
+  }
+
   void check_mem(std::uint64_t addr, std::uint64_t size) const {
-    if (addr == 0 || addr + size > memory_.size()) {
+    // Written so that no sum can wrap: addr + size overflows for an
+    // address just below 2^64.
+    if (addr == 0 || size > memory_.size() || addr > memory_.size() - size) {
       fail("memory access out of range at " + std::to_string(addr));
     }
   }
@@ -232,10 +306,28 @@ class Interp {
     return false;
   }
 
-  /// Executes one non-control instruction (values, memory, calls, notes).
-  /// `event` (nullable) receives the resolved address for Load/Store.
-  void step_insn(const Insn& insn, std::vector<Value>& regs,
-                 std::uint64_t frame_base, ExecCtx& ctx, TraceEvent* event) {
+  /// Runs a Call whose resolved target is `callee`: a function index, or
+  /// kExtern for a built-in.
+  void do_call(const Insn& insn, std::size_t callee, std::vector<Value>& regs,
+               ExecCtx& ctx) {
+    std::vector<Value> call_args;
+    call_args.reserve(insn.args.size());
+    for (const Reg r : insn.args) call_args.push_back(regs[r]);
+    Value out;
+    if (callee != kExtern) {
+      out = call(callee, call_args, ctx);
+    } else if (!call_extern(insn.callee, call_args, out, ctx)) {
+      fail("call to unknown extern '" + insn.callee + "'");
+    }
+    if (insn.rd != kNoReg) regs[insn.rd] = out;
+  }
+
+  /// Executes one non-control instruction (values, memory, calls, notes);
+  /// `target` is its resolved target.  `event` (nullable) receives the
+  /// resolved address for Load/Store.
+  void step_insn(const Insn& insn, std::size_t target,
+                 std::vector<Value>& regs, std::uint64_t frame_base,
+                 ExecCtx& ctx, TraceEvent* event) {
     switch (insn.op) {
       case Opcode::LoadImm:
         if (insn.is_float) {
@@ -355,19 +447,9 @@ class Interp {
         }
         break;
       }
-      case Opcode::Call: {
-        std::vector<Value> call_args;
-        call_args.reserve(insn.args.size());
-        for (const Reg r : insn.args) call_args.push_back(regs[r]);
-        Value out;
-        if (const RtlFunction* callee = prog_.find_function(insn.callee)) {
-          out = call(*callee, call_args, ctx);
-        } else if (!call_extern(insn.callee, call_args, out, ctx)) {
-          fail("call to unknown extern '" + insn.callee + "'");
-        }
-        if (insn.rd != kNoReg) regs[insn.rd] = out;
+      case Opcode::Call:
+        do_call(insn, target, regs, ctx);
         break;
-      }
       case Opcode::Label:
       case Opcode::LoopBeg:
       case Opcode::LoopEnd:
@@ -384,12 +466,13 @@ class Interp {
 
   /// Straight-line executor for parallel chunks, trip counting and the
   /// post-join replays: runs [lo, hi) with no control flow except calls.
-  void exec_slice(const RtlFunction& func, std::vector<Value>& regs,
-                  std::size_t lo, std::size_t hi, std::uint64_t frame_base,
-                  ExecCtx& ctx) {
+  void exec_slice(std::size_t fn, std::vector<Value>& regs, std::size_t lo,
+                  std::size_t hi, std::uint64_t frame_base, ExecCtx& ctx) {
+    const std::vector<Insn>& insns = prog_.functions[fn].insns;
+    const std::vector<std::size_t>& target = targets_[fn];
     for (std::size_t pc = lo; pc < hi; ++pc) {
       if (++ctx.executed > ctx.hard_cap) fail("instruction budget exceeded");
-      step_insn(func.insns[pc], regs, frame_base, ctx, nullptr);
+      step_insn(insns[pc], target[pc], regs, frame_base, ctx, nullptr);
     }
   }
 
@@ -401,8 +484,10 @@ class Interp {
     return nullptr;
   }
 
-  Value call(const RtlFunction& func, const std::vector<Value>& args,
-             ExecCtx& ctx) {
+  /// Runs prog_.functions[fn]: the dispatch loop.
+  Value call(std::size_t fn, const std::vector<Value>& args, ExecCtx& ctx) {
+    const RtlFunction& func = prog_.functions[fn];
+    const std::vector<std::size_t>& target = targets_[fn];
     if (++ctx.depth > options_.max_call_depth) fail("call depth exceeded");
     const std::uint64_t frame_base = ctx.stack_top;
     ctx.stack_top += (func.frame_size + 63) / 64 * 64;
@@ -415,7 +500,6 @@ class Interp {
       if (i < args.size()) regs[static_cast<std::size_t>(func.param_regs[i])] = args[i];
     }
 
-    const auto& label_map = labels_.at(&func);
     std::size_t pc = 0;
     Value ret;
     while (pc < func.insns.size()) {
@@ -428,7 +512,7 @@ class Interp {
       switch (insn.op) {
         case Opcode::Jump:
           if (sink_ != nullptr) sink_->on_insn(event);
-          pc = label_map.at(insn.label);
+          pc = branch_target(target[pc]);
           continue;
         case Opcode::BranchZ:
         case Opcode::BranchNZ: {
@@ -436,7 +520,7 @@ class Interp {
           const bool zero = regs[insn.rs1].i == 0;
           const bool taken = insn.op == Opcode::BranchZ ? zero : !zero;
           if (taken) {
-            pc = label_map.at(insn.label);
+            pc = branch_target(target[pc]);
             continue;
           }
           break;
@@ -446,16 +530,7 @@ class Interp {
           // BEFORE the callee's instructions, so the case stays here
           // rather than in step_insn.
           if (sink_ != nullptr) sink_->on_insn(event);
-          std::vector<Value> call_args;
-          call_args.reserve(insn.args.size());
-          for (const Reg r : insn.args) call_args.push_back(regs[r]);
-          Value out;
-          if (const RtlFunction* callee = prog_.find_function(insn.callee)) {
-            out = call(*callee, call_args, ctx);
-          } else if (!call_extern(insn.callee, call_args, out, ctx)) {
-            fail("call to unknown extern '" + insn.callee + "'");
-          }
-          if (insn.rd != kNoReg) regs[insn.rd] = out;
+          do_call(insn, target[pc], regs, ctx);
           ++pc;
           continue;
         }
@@ -468,7 +543,7 @@ class Interp {
         case Opcode::LoopBeg:
           if (par_enabled_ && !ctx.is_worker && !func.parexec.empty()) {
             if (const LoopPlan* plan = find_plan(func, pc)) {
-              if (run_parallel_loop(func, *plan, regs, frame_base, ctx)) {
+              if (run_parallel_loop(fn, *plan, regs, frame_base, ctx)) {
                 pc = plan->loop_end + 1;
                 continue;
               }
@@ -476,7 +551,7 @@ class Interp {
           }
           break;
         default:
-          step_insn(insn, regs, frame_base, ctx, &event);
+          step_insn(insn, target[pc], regs, frame_base, ctx, &event);
           break;
       }
       if (sink_ != nullptr && insn.op != Opcode::Label &&
@@ -488,6 +563,11 @@ class Interp {
     ctx.stack_top = frame_base;
     --ctx.depth;
     return ret;
+  }
+
+  [[nodiscard]] std::size_t branch_target(std::size_t resolved) const {
+    if (resolved == kNoLabel) fail("branch to an undefined label");
+    return resolved;
   }
 
   [[nodiscard]] static Value reduction_identity(ReductionKind kind) {
@@ -525,9 +605,10 @@ class Interp {
   /// instruction budget (the serial path must then trap exactly where a
   /// serial run would).  On success the master's registers and counters
   /// are byte-identical to what serial execution would have produced.
-  bool run_parallel_loop(const RtlFunction& func, const LoopPlan& plan,
+  bool run_parallel_loop(std::size_t fn, const LoopPlan& plan,
                          std::vector<Value>& regs, std::uint64_t frame_base,
                          ExecCtx& ctx) {
+    const RtlFunction& func = prog_.functions[fn];
     const Insn& exit_br = func.insns[plan.exit_branch];
     const Reg iv = plan.induction;
     const std::uint64_t cond_insns = plan.exit_branch - plan.cond_begin;
@@ -569,7 +650,7 @@ class Interp {
     std::uint64_t trips = 0;
     for (;;) {
       regs[iv].i = iv0 + static_cast<std::int64_t>(trips) * plan.step;
-      exec_slice(func, regs, plan.cond_begin, plan.exit_branch, frame_base,
+      exec_slice(fn, regs, plan.cond_begin, plan.exit_branch, frame_base,
                  scratch);
       const bool zero = regs[exit_br.rs1].i == 0;
       const bool taken = exit_br.op == Opcode::BranchZ ? zero : !zero;
@@ -653,9 +734,9 @@ class Interp {
             }
           }
           wregs[iv].i = iv0 + static_cast<std::int64_t>(i) * plan.step;
-          exec_slice(func, wregs, plan.cond_begin, plan.exit_branch,
+          exec_slice(fn, wregs, plan.cond_begin, plan.exit_branch,
                      frame_base, wctx);
-          exec_slice(func, wregs, plan.body_begin, plan.body_end, frame_base,
+          exec_slice(fn, wregs, plan.body_begin, plan.body_end, frame_base,
                      wctx);
           if (!plan.doall) board.publish(c, i - chunk.begin + 1);
           if (wctx.executed - flushed >= 65536) flush_budget();
@@ -721,8 +802,8 @@ class Interp {
     ExecCtx replay;
     replay.hard_cap = UINT64_MAX;
     regs[iv].i = iv0 + static_cast<std::int64_t>(trips - 1) * plan.step;
-    exec_slice(func, regs, plan.step_begin, plan.backedge, frame_base, replay);
-    exec_slice(func, regs, plan.cond_begin, plan.exit_branch, frame_base,
+    exec_slice(fn, regs, plan.step_begin, plan.backedge, frame_base, replay);
+    exec_slice(fn, regs, plan.cond_begin, plan.exit_branch, frame_base,
                replay);
 
     if (dispatched_.insert(&plan).second) ++stats_.loops_parallelized;
@@ -745,14 +826,14 @@ class Interp {
   const RtlProgram& prog_;
   TraceSink* sink_;
   InterpOptions options_;
-  std::vector<std::uint8_t> memory_;
+  Arena memory_;
   std::vector<std::uint64_t> global_base_;
   std::uint64_t stack_base_ = 0;
   std::uint64_t master_limit_ = 0;
   std::uint64_t worker_stack_size_ = 0;
   bool par_enabled_ = false;
-  std::unordered_map<const RtlFunction*, std::unordered_map<std::int32_t, std::size_t>>
-      labels_;
+  /// Per function, per instruction: the resolved target (resolve_targets).
+  std::vector<std::vector<std::size_t>> targets_;
   std::uint64_t output_hash_ = 1469598103934665603ull;
   std::uint64_t emit_count_ = 0;
   ParexecStats stats_;

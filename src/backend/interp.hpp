@@ -69,6 +69,11 @@ struct RunResult {
 
 struct InterpOptions {
   std::uint64_t max_insns = 400'000'000;
+  /// Size of the program's flat address space: globals from address 8 up,
+  /// the master stack above them, and (when loops dispatch) one worker
+  /// stack per extra lane carved off the top.  It is an anonymous mapping
+  /// whose pages fault in zeroed on first touch, so a run costs only the
+  /// pages it uses, not memory_bytes.
   std::size_t memory_bytes = 64u << 20;
   std::size_t max_call_depth = 4096;
   /// Execution lanes for loops carrying a parexec plan (1 = serial; the
@@ -79,9 +84,10 @@ struct InterpOptions {
   /// A planned loop is dispatched only when trips * (cond + body insns)
   /// reaches this volume; below it the fork/join overhead dominates and
   /// the loop runs serially (counted in ParexecStats::serial_fallbacks).
-  /// The dispatch cost is one register-file copy per chunk plus a pool
-  /// wake, a few hundred instructions' worth of work.  Tests set 0 to
-  /// force dispatch of tiny loops.
+  /// The dispatch cost is one register-file copy per chunk (DOALL runs
+  /// one chunk per lane) plus a generation hand-off to workers that are still spinning (a futex
+  /// wake only after they parked), a few hundred instructions' worth of
+  /// work.  Tests set 0 to force dispatch of tiny loops.
   std::uint64_t min_par_insns = 512;
 };
 

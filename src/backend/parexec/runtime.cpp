@@ -10,16 +10,24 @@ std::vector<Chunk> plan_chunks(std::uint64_t trips, unsigned workers,
   std::vector<Chunk> chunks;
   if (trips == 0) return chunks;
   if (workers == 0) workers = 1;
-  // DOALL: ~8 chunks per lane balances uneven bodies without drowning the
-  // run in scheduling; DOACROSS: fewer, larger chunks — each must span at
-  // least 2*d so the in-chunk prefix covers the dependence for the tail.
-  std::uint64_t size;
   if (distance <= 0) {
-    size = std::max<std::uint64_t>(1, trips / (workers * 8u));
-  } else {
-    size = std::max<std::uint64_t>(2 * static_cast<std::uint64_t>(distance),
-                                   trips / (workers * 4u));
+    // DOALL: one contiguous chunk per lane, sizes differing by at most
+    // one (the first trips % lanes chunks take the extra iteration).
+    const std::uint64_t lanes = std::min<std::uint64_t>(trips, workers);
+    const std::uint64_t base = trips / lanes;
+    const std::uint64_t extra = trips % lanes;
+    std::uint64_t begin = 0;
+    for (std::uint64_t c = 0; c < lanes; ++c) {
+      const std::uint64_t end = begin + base + (c < extra ? 1 : 0);
+      chunks.push_back({begin, end});
+      begin = end;
+    }
+    return chunks;
   }
+  // DOACROSS: each chunk spans at least 2*d so the in-chunk prefix covers
+  // the dependence for the tail; ~4 chunks per lane keep the pipeline fed.
+  const std::uint64_t size = std::max<std::uint64_t>(
+      2 * static_cast<std::uint64_t>(distance), trips / (workers * 4u));
   for (std::uint64_t begin = 0; begin < trips; begin += size) {
     chunks.push_back({begin, std::min(trips, begin + size)});
   }

@@ -5,11 +5,12 @@
 // scheduling and synchronization logic can be unit-tested (and TSan'd)
 // in isolation:
 //
-//  * plan_chunks() — split a trip count into contiguous chunks.  DOACROSS
-//    chunks are sized to at least twice the proven dependence distance so
-//    that most iterations find their dependence source inside their own
-//    chunk and need no synchronization at all (sync elision, after Liao
-//    et al.'s one-partition-covers-the-distance observation).
+//  * plan_chunks() — split a trip count into contiguous chunks.  DOALL
+//    gets one chunk per lane.  DOACROSS chunks are sized to at least
+//    twice the proven dependence distance so that most iterations find
+//    their dependence source inside their own chunk and need no
+//    synchronization at all (sync elision, after Liao et al.'s
+//    one-partition-covers-the-distance observation).
 //  * structural_sync_counts() — the number of post-wait operations a
 //    chunking implies, computed from the shape alone.  The runtime
 //    reports THESE deterministic counts (not "how often a wait actually
@@ -37,8 +38,10 @@ struct Chunk {
 };
 
 /// Splits `trips` iterations into chunks for `workers` lanes.  DOALL
-/// (`distance` == 0) aims for several chunks per lane so uneven bodies
-/// balance; DOACROSS (`distance` >= 1) enforces a chunk size of at least
+/// (`distance` == 0) gets min(trips, workers) chunks whose sizes differ
+/// by at most one: every extra chunk would only add a hand-off and a
+/// register-file copy, since DOALL iterations never wait on each other.
+/// DOACROSS (`distance` >= 1) enforces a chunk size of at least
 /// 2*distance so consecutive chunks cover the dependence and the
 /// cross-chunk wait count stays at min(d, chunk) per boundary.
 [[nodiscard]] std::vector<Chunk> plan_chunks(std::uint64_t trips,

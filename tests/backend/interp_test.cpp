@@ -114,6 +114,81 @@ TEST(InterpTest, DynamicInsnCountGrowsWithWork) {
   EXPECT_GT(big.dynamic_insns, small.dynamic_insns * 10);
 }
 
+TEST(InterpTest, WrappedAddressLoadTraps) {
+  // a sits at address 8, so p - 3 is 8 - 12 = 2^64 - 4: a check that
+  // adds the access size to the address would wrap past it.
+  const RunResult r = run_src(
+      "int a[4]; int main() { int *p; p = a; p = p - 3; return *p; }");
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("memory access out of range"), std::string::npos)
+      << r.error;
+}
+
+TEST(InterpTest, WrappedAddressStoreTraps) {
+  const RunResult r = run_src(
+      "int a[4];"
+      " int main() { int *p; p = a; p = p - 3; *p = 123456; return a[0]; }");
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("memory access out of range"), std::string::npos)
+      << r.error;
+}
+
+/// main() { *(int*)addr = 7; return *(int*)addr; } as hand-built RTL, so
+/// the address can be any byte, aligned or not.
+RtlProgram store_load_at(std::uint64_t addr) {
+  RtlFunction f;
+  f.name = "main";
+  const Reg ptr = f.fresh_reg();
+  const Reg val = f.fresh_reg();
+  Insn set_ptr;
+  set_ptr.op = Opcode::LoadImm;
+  set_ptr.rd = ptr;
+  set_ptr.imm = static_cast<std::int64_t>(addr);
+  Insn set_val = set_ptr;
+  set_val.rd = val;
+  set_val.imm = 7;
+  Insn store;
+  store.op = Opcode::Store;
+  store.rs1 = ptr;
+  store.rs2 = val;
+  Insn load;
+  load.op = Opcode::Load;
+  load.rd = val;
+  load.rs1 = ptr;
+  Insn ret;
+  ret.op = Opcode::Return;
+  ret.rs1 = val;
+  f.insns = {set_ptr, set_val, store, load, ret};
+  RtlProgram prog;
+  prog.functions.push_back(f);
+  return prog;
+}
+
+TEST(InterpTest, ArenaEndsAtItsLastByte) {
+  InterpOptions options;
+  options.memory_bytes = 1u << 20;
+  // A 4-byte access whose last byte is the arena's last byte...
+  const RunResult last =
+      run_program(store_load_at(options.memory_bytes - 4), "main", nullptr,
+                  options);
+  ASSERT_TRUE(last.ok) << last.error;
+  EXPECT_EQ(last.return_value, 7);
+  // ...and one that reaches a byte past it.
+  const RunResult past =
+      run_program(store_load_at(options.memory_bytes - 3), "main", nullptr,
+                  options);
+  EXPECT_FALSE(past.ok);
+  EXPECT_EQ(past.error, "interp: memory access out of range at " +
+                            std::to_string(options.memory_bytes - 3));
+}
+
+TEST(InterpTest, UnwrittenHighMemoryReadsZero) {
+  const RunResult r = run_src(
+      "int a[4]; int main() { int *p; p = a + 200000; return *p; }");
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.return_value, 0);
+}
+
 TEST(InterpTest, TraceSinkSeesMemoryAddresses) {
   class Collector : public TraceSink {
    public:

@@ -7,8 +7,10 @@
 // surface exactly like serial ones.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -58,6 +60,40 @@ TEST(WorkerPoolTest, FirstJobExceptionRethrownAfterJoin) {
   EXPECT_EQ(completed.load(), 3);
 }
 
+TEST(WorkerPoolTest, BackToBackGenerationsRunEveryLaneOnce) {
+  // Tiny jobs back to back keep the workers inside their spin window, so
+  // this drives the generation hand-off rather than the parked wake-up.
+  constexpr unsigned kLanes = 4;
+  constexpr int kGenerations = 20000;
+  WorkerPool pool(kLanes);
+  std::vector<std::atomic<int>> hits(kLanes);
+  int rethrown = 0;
+  for (int gen = 0; gen < kGenerations; ++gen) {
+    const bool faults = gen % 97 == 0;
+    try {
+      pool.run([&](unsigned lane) {
+        hits[lane].fetch_add(1, std::memory_order_relaxed);
+        if (faults && lane == static_cast<unsigned>(gen) % kLanes) {
+          throw std::runtime_error("fault in generation " +
+                                   std::to_string(gen));
+        }
+      });
+      ASSERT_FALSE(faults) << "generation " << gen << " did not rethrow";
+    } catch (const std::runtime_error& e) {
+      ASSERT_TRUE(faults) << e.what();
+      EXPECT_EQ(std::string(e.what()),
+                "fault in generation " + std::to_string(gen));
+      ++rethrown;
+    }
+    // run() is a barrier: every lane ran this generation exactly once.
+    for (unsigned lane = 0; lane < kLanes; ++lane) {
+      ASSERT_EQ(hits[lane].load(std::memory_order_relaxed), gen + 1)
+          << "lane " << lane << ", generation " << gen;
+    }
+  }
+  EXPECT_EQ(rethrown, (kGenerations + 96) / 97);
+}
+
 TEST(WorkerPoolTest, SingleLanePoolRunsInline) {
   WorkerPool pool(1);
   int hits = 0;
@@ -82,12 +118,23 @@ std::uint64_t covered(const std::vector<Chunk>& chunks) {
   return total;
 }
 
-TEST(PlanChunksTest, DoallTilesTripsWithSeveralChunksPerLane) {
-  const std::vector<Chunk> chunks = plan_chunks(1000, 4, 0);
-  EXPECT_EQ(covered(chunks), 1000u);
-  // DOALL aims for ~8 chunks per lane so uneven bodies balance.
-  EXPECT_GT(chunks.size(), 4u);
-  for (const Chunk& c : chunks) EXPECT_GE(c.size(), 1u);
+TEST(PlanChunksTest, DoallGivesEachLaneOneBalancedChunk) {
+  for (std::uint64_t trips = 1; trips <= 1000; ++trips) {
+    for (unsigned lanes = 1; lanes <= 8; ++lanes) {
+      const std::vector<Chunk> chunks = plan_chunks(trips, lanes, 0);
+      ASSERT_EQ(chunks.size(), std::min<std::uint64_t>(trips, lanes))
+          << trips << " trips, " << lanes << " lanes";
+      ASSERT_EQ(covered(chunks), trips);
+      std::uint64_t smallest = trips;
+      std::uint64_t largest = 0;
+      for (const Chunk& c : chunks) {
+        smallest = std::min(smallest, c.size());
+        largest = std::max(largest, c.size());
+      }
+      ASSERT_LE(largest - smallest, 1u)
+          << trips << " trips, " << lanes << " lanes";
+    }
+  }
 }
 
 TEST(PlanChunksTest, TinyTripCountsStillTile) {
@@ -278,6 +325,39 @@ TEST(ParexecEndToEndTest, NoHliPlansComeFromIndependentAnalyzer) {
   expect_identical(serial, par);
   EXPECT_GT(par.parexec.loops_parallelized, 0u)
       << "irdep alone should prove this DOALL";
+}
+
+TEST(ParexecEndToEndTest, PureCallsInChunksRunOnWorkerStacks) {
+  // The callee's frame holds a local array, so every lane but the caller
+  // fills and sums it on a worker stack carved from the top of the
+  // arena.  A small arena puts those stacks on its last pages.
+  const char* src =
+      "int A[256];\n"
+      "int fill(int n) {\n"
+      "  int t[64];\n"
+      "  for (int k = 0; k < 64; k = k + 1) { t[k] = n + k; }\n"
+      "  int s = 0;\n"
+      "  for (int k = 0; k < 64; k = k + 1) { s = s + t[k]; }\n"
+      "  return s;\n"
+      "}\n"
+      "int main() {\n"
+      "  for (int i = 0; i < 256; i = i + 1) { A[i] = fill(i); }\n"
+      "  return A[0] + A[255];\n"
+      "}\n";
+  const driver::CompiledProgram compiled = compile_planned(src);
+  InterpOptions serial;
+  serial.memory_bytes = 1u << 20;
+  const RunResult expected = run_program(compiled.rtl, "main", nullptr, serial);
+  ASSERT_TRUE(expected.ok) << expected.error;
+  EXPECT_EQ(expected.return_value, 2016 + (64 * 255 + 2016));
+  InterpOptions lanes = serial;
+  lanes.exec_threads = 4;
+  lanes.min_par_insns = 0;
+  const RunResult par = run_program(compiled.rtl, "main", nullptr, lanes);
+  expect_identical(expected, par);
+  EXPECT_EQ(par.parexec.invocations, 1u);
+  EXPECT_EQ(par.parexec.chunks, 4u);  // One per lane.
+  EXPECT_EQ(par.parexec.par_iterations, 256u);
 }
 
 TEST(ParexecEndToEndTest, VolumeGateFallsBackToSerial) {
