@@ -1,5 +1,5 @@
 // Shared helpers for the bench binaries: `--json <path>` machine-readable
-// output ({bench, wall_ms, per_workload: [...]}) so CI can collect
+// output ({bench, nproc, wall_ms, per_workload: [...]}) so CI can collect
 // BENCH_*.json trajectory files, plus `--jobs N` parsing for the benches
 // that fan compilation out over the parallel driver.
 #pragma once
@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace hli::benchutil {
@@ -41,9 +42,10 @@ struct JsonReport {
       std::fprintf(stderr, "cannot write '%s'\n", path.c_str());
       return false;
     }
-    std::fprintf(out, "{\n  \"bench\": \"%s\",\n  \"wall_ms\": %.3f,\n"
-                      "  \"per_workload\": [",
-                 escaped(bench).c_str(), wall_ms);
+    std::fprintf(out, "{\n  \"bench\": \"%s\",\n  \"nproc\": %u,\n"
+                      "  \"wall_ms\": %.3f,\n  \"per_workload\": [",
+                 escaped(bench).c_str(), std::thread::hardware_concurrency(),
+                 wall_ms);
     for (std::size_t i = 0; i < per_workload.size(); ++i) {
       const WorkloadReport& w = per_workload[i];
       std::fprintf(out, "%s\n    {\"name\": \"%s\"", i == 0 ? "" : ",",

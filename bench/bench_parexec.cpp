@@ -16,9 +16,15 @@
 //     d <= 3 — so the bound is what the DOALL proofs make POSSIBLE on an
 //     N-core machine, the reproducible figure the experiment log tracks.
 //
+// The last column is the serial interpreter's throughput: dynamic
+// instructions per second at one lane (Minsn/s, from the median t1
+// run), per program and over the whole suite.
+//
 // `--json <path>` writes the machine-readable report.
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <vector>
 
 #include "backend/interp.hpp"
@@ -63,6 +69,10 @@ double amdahl_bound(std::uint64_t total, std::uint64_t par,
   return static_cast<double>(total) / (serial + chunked);
 }
 
+double minsn_per_s(std::uint64_t insns, double ms) {
+  return ms > 0 ? static_cast<double>(insns) / (ms * 1e3) : 0.0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -72,15 +82,22 @@ int main(int argc, char** argv) {
   report.bench = "parexec";
 
   std::printf("Parallel loop execution (wall ms, work-distribution bound)\n");
-  std::printf("%-14s %9s %9s %9s %9s %6s %9s %9s %9s\n", "Benchmark", "t1 ms",
-              "t2 ms", "t4 ms", "t8 ms", "par%", "bound2", "bound4", "bound8");
+  std::printf("%-14s %9s %9s %9s %9s %6s %9s %9s %9s %9s\n", "Benchmark",
+              "t1 ms", "t2 ms", "t4 ms", "t8 ms", "par%", "bound2", "bound4",
+              "bound8", "t1 Minsn/s");
 
-  for (const auto& workload : workloads::all_workloads()) {
+  std::vector<const workloads::Workload*> suite;
+  for (const auto& w : workloads::all_workloads()) suite.push_back(&w);
+  for (const auto& w : workloads::basic_workloads()) suite.push_back(&w);
+  std::uint64_t suite_insns = 0;
+  double suite_t1 = 0;
+  for (const workloads::Workload* w : suite) {
+    const workloads::Workload& workload = *w;
     driver::PipelineOptions options;
     options.use_hli = true;
     options.exec_threads = 4;  // Attach plans; lanes are chosen per run.
-    const driver::CompiledProgram compiled =
-        driver::compile_source(workload.source, options);
+    const driver::CompiledProgram compiled = driver::compile_source(
+        workload.source, options.with_language(workload.language));
 
     // One instrumented run for the deterministic counts.  par_insns is
     // thread-count-invariant (chunking never changes the work), so any
@@ -103,9 +120,13 @@ int main(int argc, char** argv) {
     const double b2 = amdahl_bound(total, par, ordered, 2);
     const double b4 = amdahl_bound(total, par, ordered, 4);
     const double b8 = amdahl_bound(total, par, ordered, 8);
+    const double minsn = minsn_per_s(total, t1);
+    suite_insns += total;
+    suite_t1 += t1;
 
-    std::printf("%-14s %9.2f %9.2f %9.2f %9.2f %5.1f%% %8.2fx %8.2fx %8.2fx\n",
-                workload.name.c_str(), t1, t2, t4, t8, par_pct, b2, b4, b8);
+    std::printf(
+        "%-14s %9.2f %9.2f %9.2f %9.2f %5.1f%% %8.2fx %8.2fx %8.2fx %9.1f\n",
+        workload.name.c_str(), t1, t2, t4, t8, par_pct, b2, b4, b8, minsn);
     report.add(workload.name,
                {{"wall_ms_t1", t1},
                 {"wall_ms_t2", t2},
@@ -121,8 +142,13 @@ int main(int argc, char** argv) {
                 {"loops_parallelized",
                  static_cast<double>(probe.parexec.loops_parallelized)},
                 {"sync_elided",
-                 static_cast<double>(probe.parexec.sync_elided)}});
+                 static_cast<double>(probe.parexec.sync_elided)},
+                {"minsn_per_s_t1", minsn}});
   }
+  std::printf("%-14s %9.2f %76.1f\n", "suite", suite_t1,
+              minsn_per_s(suite_insns, suite_t1));
+  report.add("suite", {{"wall_ms_t1", suite_t1},
+                       {"minsn_per_s_t1", minsn_per_s(suite_insns, suite_t1)}});
 
   report.wall_ms = timer.elapsed_ms();
   if (!args.json_path.empty() && !report.write(args.json_path)) return 1;

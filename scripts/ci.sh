@@ -21,7 +21,9 @@ want() {
 STAGES=("$@")
 
 stage_tier1() {
-  cmake -B build "${GENERATOR[@]}" -DCMAKE_BUILD_TYPE=RelWithDebInfo
+  # Warnings are errors in the tier-1 build: src/, tools/, bench/, tests/.
+  cmake -B build "${GENERATOR[@]}" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS=-Werror
   cmake --build build -j "$JOBS"
   ctest --test-dir build -j "$JOBS" --output-on-failure
   # Every workload through every pass boundary with the verifier fatal.

@@ -4,11 +4,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <stdexcept>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -22,23 +25,27 @@ namespace hli::backend {
 
 namespace {
 
-const telemetry::Counter c_par_loops =
-    telemetry::counter("parexec.loops_parallelized");
-const telemetry::Counter c_par_invocations =
-    telemetry::counter("parexec.invocations");
-const telemetry::Counter c_par_chunks = telemetry::counter("parexec.chunks");
-const telemetry::Counter c_par_iterations =
-    telemetry::counter("parexec.par_iterations");
-const telemetry::Counter c_par_insns =
-    telemetry::counter("parexec.par_insns");
-const telemetry::Counter c_par_ordered =
-    telemetry::counter("parexec.ordered_insns");
-const telemetry::Counter c_par_waits = telemetry::counter("parexec.sync_waits");
-const telemetry::Counter c_par_elided =
-    telemetry::counter("parexec.sync_elided");
-const telemetry::Counter c_par_fallbacks =
-    telemetry::counter("parexec.serial_fallbacks");
+/// Every ParexecStats field, added to the telemetry counter of the same
+/// name at the end of each run.
+const std::pair<telemetry::Counter, std::uint64_t ParexecStats::*>
+    kParCounters[] = {
+        {telemetry::counter("parexec.loops_parallelized"),
+         &ParexecStats::loops_parallelized},
+        {telemetry::counter("parexec.invocations"), &ParexecStats::invocations},
+        {telemetry::counter("parexec.chunks"), &ParexecStats::chunks},
+        {telemetry::counter("parexec.par_iterations"),
+         &ParexecStats::par_iterations},
+        {telemetry::counter("parexec.par_insns"), &ParexecStats::par_insns},
+        {telemetry::counter("parexec.ordered_insns"),
+         &ParexecStats::ordered_insns},
+        {telemetry::counter("parexec.sync_waits"), &ParexecStats::sync_waits},
+        {telemetry::counter("parexec.sync_elided"), &ParexecStats::sync_elided},
+        {telemetry::counter("parexec.serial_fallbacks"),
+         &ParexecStats::serial_fallbacks},
+};
 
+/// A register.  Not a union: a register written as one type and read as
+/// the other keeps the other's last value, and programs rely on it.
 struct Value {
   std::int64_t i = 0;
   double f = 0.0;
@@ -78,20 +85,89 @@ class Arena {
 
   [[nodiscard]] bool mapped() const { return data_ != nullptr; }
   [[nodiscard]] std::size_t size() const { return size_; }
-  std::uint8_t& operator[](std::uint64_t addr) { return data_[addr]; }
-  const std::uint8_t& operator[](std::uint64_t addr) const {
-    return data_[addr];
-  }
+  [[nodiscard]] std::uint8_t* data() const { return data_; }
 
  private:
   std::uint8_t* data_ = nullptr;
   std::size_t size_ = 0;
 };
 
-/// Resolved-target sentinels: a call to a built-in extern, and a branch
-/// whose label the function does not define.
-constexpr std::size_t kExtern = SIZE_MAX;
-constexpr std::size_t kNoLabel = SIZE_MAX;
+/// Whether [addr, addr + width) is a valid access.  Written so that no
+/// sum can wrap: addr + width overflows for an address just below 2^64.
+[[nodiscard]] bool in_arena(std::uint64_t addr, std::uint64_t width,
+                            std::uint64_t size) {
+  return addr != 0 && width <= size && addr <= size - width;
+}
+
+/// The decoded instruction set.  Each RTL opcode whose behaviour depends
+/// on `is_float` or on the access width becomes one kind per variant, so
+/// the dispatch loop tests neither.  Typed pairs are laid out I, F (all
+/// of them up to NeF), and memory kinds I4, F4, I, F ("I"/"F" access 8
+/// bytes), so decode picks a variant by offset.
+enum class Kind : std::uint8_t {
+  ImmI, ImmF, AddI, AddF, SubI, SubF, MulI, MulF, DivI, DivF, NegI, NegF,
+  LtI, LtF, LeI, LeF, GtI, GtF, GeI, GeF, EqI, EqF, NeI, NeF,
+  Nop,      ///< Label, LoopEnd, and a LoopBeg without a dispatchable plan.
+  ParLoop,  ///< LoopBeg of a planned loop; target is the plan's index.
+  Move, Rem, And, Or, Xor, Not, Shl, Shr, IntToFp, FpToInt,
+  FrameAddr,  ///< rd = frame base + imm.  A global's address is an ImmI.
+  BadGlobal,  ///< Address of a global the program does not define.
+  LoadI4, LoadF4, LoadI, LoadF,
+  StoreI4, StoreF4, StoreI, StoreF,
+  Jump, BranchZ, BranchNZ,
+  Call,    ///< target is the callee's function index.
+  Extern,  ///< target is a Builtin.
+  Return,
+};
+
+/// The kind each Opcode decodes to, in Opcode order, before decode adds
+/// the is_float and width offsets.
+constexpr Kind kKindOf[] = {
+    Kind::ImmI, Kind::Move, Kind::AddI, Kind::SubI, Kind::MulI, Kind::DivI,
+    Kind::Rem, Kind::NegI, Kind::And, Kind::Or, Kind::Xor, Kind::Not,
+    Kind::Shl, Kind::Shr, Kind::LtI, Kind::LeI, Kind::GtI, Kind::GeI,
+    Kind::EqI, Kind::NeI, Kind::IntToFp, Kind::FpToInt, Kind::FrameAddr,
+    Kind::LoadI4, Kind::StoreI4, Kind::Nop, Kind::Jump, Kind::BranchZ,
+    Kind::BranchNZ, Kind::Call, Kind::Return, Kind::Nop, Kind::Nop,
+};
+static_assert(std::size(kKindOf) == static_cast<std::size_t>(Opcode::LoopEnd) + 1);
+
+/// Built-in externs: math plus the emit() observation sinks, named by
+/// kBuiltinNames.  A call to any other undefined function decodes to
+/// Unknown and traps only when executed.
+enum class Builtin : std::uint32_t {
+  Sqrt, Fabs, Sin, Cos, Exp, Log, Pow, Floor, Ceil, Atan, Emit, Emitd, Unknown,
+};
+constexpr std::string_view kBuiltinNames[] = {
+    "sqrt", "fabs", "sin", "cos", "exp", "log",
+    "pow", "floor", "ceil", "atan", "emit", "emitd",
+};
+
+/// A branch whose label the function does not define.
+constexpr std::uint32_t kNoTarget = UINT32_MAX;
+
+/// One decoded instruction.  The op stream of a function is indexed 1:1
+/// with its insns, so plan positions and branch targets index both.
+struct Op {
+  Kind kind = Kind::Nop;
+  Reg rd = kNoReg;
+  Reg rs1 = kNoReg;
+  Reg rs2 = kNoReg;
+  /// Branch pc, callee index, Builtin or plan index, by kind.
+  std::uint32_t target = kNoTarget;
+  /// The immediate, a memory reference's const_offset, a frame offset,
+  /// or a global's address, by kind.
+  union {
+    std::int64_t i;
+    double f;
+  } imm{0};
+};
+static_assert(sizeof(Op) <= 32);
+
+/// RTL integers wrap, as the machine's do: + - * run on uint64_t, where
+/// C++ signed overflow would be undefined.
+[[nodiscard]] std::uint64_t u64(std::int64_t v) { return static_cast<std::uint64_t>(v); }
+[[nodiscard]] std::int64_t s64(std::uint64_t v) { return static_cast<std::int64_t>(v); }
 
 class Interp {
  public:
@@ -104,15 +180,15 @@ class Interp {
     for (const GlobalVar& g : prog.globals) {
       global_base_.push_back(at);
       if (!g.init_int.empty()) {
-        write_int(at, g.init_int[0], 4);
+        const auto v = static_cast<std::int32_t>(g.init_int[0]);
+        init_global(at, &v, 4);
       } else if (!g.init_fp.empty()) {
-        write_fp(at, g.init_fp[0], 8);
+        init_global(at, &g.init_fp[0], 8);
       }
       at += (g.size + 7) / 8 * 8;
     }
     stack_base_ = (at + 63) / 64 * 64;
     master_limit_ = memory_.size();
-    resolve_targets();
     // Parallel dispatch needs per-lane stacks for the pure calls a loop
     // body may make: lanes 1..W-1 get fixed regions carved off the TOP
     // of the arena (lane 0 — the calling thread — keeps using the master
@@ -138,6 +214,7 @@ class Interp {
         par_enabled_ = false;
       }
     }
+    decode();
   }
 
   RunResult run(const std::string& entry) {
@@ -152,14 +229,14 @@ class Interp {
       result.error = "no entry function '" + entry + "'";
       return result;
     }
+    const auto fn = static_cast<std::size_t>(func - prog_.functions.data());
     ExecCtx ctx;
     ctx.stack_top = stack_base_;
     ctx.stack_limit = master_limit_;
     ctx.hard_cap = options_.max_insns;
     try {
-      const Value ret =
-          call(static_cast<std::size_t>(func - prog_.functions.data()), {},
-               ctx);
+      const Value ret = sink_ != nullptr ? call<true>(fn, nullptr, {}, ctx)
+                                         : call<false>(fn, nullptr, {}, ctx);
       result.return_value = ret.i;
       result.ok = true;
     } catch (const std::runtime_error& e) {
@@ -169,15 +246,7 @@ class Interp {
     result.output_hash = output_hash_;
     result.emit_count = emit_count_;
     result.parexec = stats_;
-    c_par_loops.add(stats_.loops_parallelized);
-    c_par_invocations.add(stats_.invocations);
-    c_par_chunks.add(stats_.chunks);
-    c_par_iterations.add(stats_.par_iterations);
-    c_par_insns.add(stats_.par_insns);
-    c_par_ordered.add(stats_.ordered_insns);
-    c_par_waits.add(stats_.sync_waits);
-    c_par_elided.add(stats_.sync_elided);
-    c_par_fallbacks.add(stats_.serial_fallbacks);
+    for (const auto& [counter, field] : kParCounters) counter.add(stats_.*field);
     return result;
   }
 
@@ -186,308 +255,109 @@ class Interp {
     throw std::runtime_error("interp: " + message);
   }
 
-  /// Resolves every branch to its label's pc and every call to its
-  /// callee's index (kExtern for built-ins) once, so the dispatch loop
-  /// follows control flow by indexing instead of by lookup.
-  void resolve_targets() {
+  /// fail() from the dispatch loop, which keeps its count in a local.
+  [[noreturn]] void trap(ExecCtx& ctx, std::uint64_t executed,
+                         const std::string& message) const {
+    ctx.executed = executed;
+    fail(message);
+  }
+
+  void init_global(std::uint64_t addr, const void* bytes, std::size_t n) {
+    if (!in_arena(addr, n, memory_.size())) {
+      fail("memory access out of range at " + std::to_string(addr));
+    }
+    std::memcpy(memory_.data() + addr, bytes, n);
+  }
+
+  /// Decodes every function into its op stream, once per run: branch
+  /// targets become pcs, callees function indices or Builtins, global
+  /// addresses constants, and the LoopBeg of each planned loop a ParLoop
+  /// when this run may dispatch.
+  void decode() {
     std::unordered_map<std::string, std::size_t> index;
     for (std::size_t f = 0; f < prog_.functions.size(); ++f) {
       index.emplace(prog_.functions[f].name, f);  // First wins, as lookup.
     }
-    targets_.resize(prog_.functions.size());
+    code_.resize(prog_.functions.size());
     for (std::size_t f = 0; f < prog_.functions.size(); ++f) {
-      const std::vector<Insn>& insns = prog_.functions[f].insns;
-      std::unordered_map<std::int32_t, std::size_t> labels;
-      for (std::size_t i = 0; i < insns.size(); ++i) {
-        if (insns[i].op == Opcode::Label) labels.emplace(insns[i].label, i);
-      }
-      std::vector<std::size_t>& target = targets_[f];
-      target.assign(insns.size(), kNoLabel);
-      for (std::size_t i = 0; i < insns.size(); ++i) {
-        const Insn& insn = insns[i];
-        if (insn.op == Opcode::Jump || insn.op == Opcode::BranchZ ||
-            insn.op == Opcode::BranchNZ) {
-          const auto it = labels.find(insn.label);
-          if (it != labels.end()) target[i] = it->second;
-        } else if (insn.op == Opcode::Call) {
-          const auto it = index.find(insn.callee);
-          target[i] = it != index.end() ? it->second : kExtern;
+      const RtlFunction& func = prog_.functions[f];
+      std::unordered_map<std::int32_t, std::uint32_t> labels;
+      for (std::size_t pc = 0; pc < func.insns.size(); ++pc) {
+        if (func.insns[pc].op == Opcode::Label) {
+          labels.emplace(func.insns[pc].label, static_cast<std::uint32_t>(pc));
         }
       }
-    }
-  }
-
-  void check_mem(std::uint64_t addr, std::uint64_t size) const {
-    // Written so that no sum can wrap: addr + size overflows for an
-    // address just below 2^64.
-    if (addr == 0 || size > memory_.size() || addr > memory_.size() - size) {
-      fail("memory access out of range at " + std::to_string(addr));
-    }
-  }
-
-  void write_int(std::uint64_t addr, std::int64_t value, std::uint8_t size) {
-    check_mem(addr, size);
-    if (size == 4) {
-      const std::int32_t v = static_cast<std::int32_t>(value);
-      std::memcpy(&memory_[addr], &v, 4);
-    } else {
-      std::memcpy(&memory_[addr], &value, 8);
-    }
-  }
-
-  std::int64_t read_int(std::uint64_t addr, std::uint8_t size) const {
-    check_mem(addr, size);
-    if (size == 4) {
-      std::int32_t v = 0;
-      std::memcpy(&v, &memory_[addr], 4);
-      return v;
-    }
-    std::int64_t v = 0;
-    std::memcpy(&v, &memory_[addr], 8);
-    return v;
-  }
-
-  void write_fp(std::uint64_t addr, double value, std::uint8_t size) {
-    check_mem(addr, size);
-    if (size == 4) {
-      const float v = static_cast<float>(value);
-      std::memcpy(&memory_[addr], &v, 4);
-    } else {
-      std::memcpy(&memory_[addr], &value, 8);
-    }
-  }
-
-  double read_fp(std::uint64_t addr, std::uint8_t size) const {
-    check_mem(addr, size);
-    if (size == 4) {
-      float v = 0;
-      std::memcpy(&v, &memory_[addr], 4);
-      return v;
-    }
-    double v = 0;
-    std::memcpy(&v, &memory_[addr], 8);
-    return v;
-  }
-
-  void mix_output(std::uint64_t bits) {
-    output_hash_ = output_hash_ * 1099511628211ull ^ bits;
-    ++emit_count_;
-  }
-
-  /// Built-in externs: math plus the emit() observation sinks.
-  bool call_extern(const std::string& name, const std::vector<Value>& args,
-                   Value& out, const ExecCtx& ctx) {
-    auto arg_f = [&](std::size_t i) { return i < args.size() ? args[i].f : 0.0; };
-    if (name == "sqrt") { out.f = std::sqrt(arg_f(0)); return true; }
-    if (name == "fabs") { out.f = std::fabs(arg_f(0)); return true; }
-    if (name == "sin") { out.f = std::sin(arg_f(0)); return true; }
-    if (name == "cos") { out.f = std::cos(arg_f(0)); return true; }
-    if (name == "exp") { out.f = std::exp(arg_f(0)); return true; }
-    if (name == "log") { out.f = std::log(arg_f(0)); return true; }
-    if (name == "pow") { out.f = std::pow(arg_f(0), arg_f(1)); return true; }
-    if (name == "floor") { out.f = std::floor(arg_f(0)); return true; }
-    if (name == "ceil") { out.f = std::ceil(arg_f(0)); return true; }
-    if (name == "atan") { out.f = std::atan(arg_f(0)); return true; }
-    if (name == "emit" || name == "emitd") {
-      // The planner proves loop bodies IO-free before parallelizing, so a
-      // worker can never reach the output sinks; the guard keeps a planner
-      // bug from silently racing on the output hash.
-      if (ctx.is_worker) fail("emit from a parallel worker");
-      if (name == "emit") {
-        mix_output(static_cast<std::uint64_t>(args.empty() ? 0 : args[0].i));
-      } else {
-        std::uint64_t bits = 0;
-        const double v = arg_f(0);
-        std::memcpy(&bits, &v, 8);
-        mix_output(bits);
+      std::vector<Op>& ops = code_[f];
+      ops.reserve(func.insns.size());
+      for (const Insn& insn : func.insns) {
+        ops.push_back(decode_insn(insn, labels, index));
       }
-      return true;
+      for (std::size_t p = 0; par_enabled_ && p < func.parexec.size(); ++p) {
+        const std::uint32_t pc = func.parexec[p].loop_beg;
+        if (pc < ops.size() && func.insns[pc].op == Opcode::LoopBeg &&
+            ops[pc].kind == Kind::Nop) {  // First plan wins, as lookup.
+          ops[pc].kind = Kind::ParLoop;
+          ops[pc].target = static_cast<std::uint32_t>(p);
+        }
+      }
     }
-    return false;
   }
 
-  /// Runs a Call whose resolved target is `callee`: a function index, or
-  /// kExtern for a built-in.
-  void do_call(const Insn& insn, std::size_t callee, std::vector<Value>& regs,
-               ExecCtx& ctx) {
-    std::vector<Value> call_args;
-    call_args.reserve(insn.args.size());
-    for (const Reg r : insn.args) call_args.push_back(regs[r]);
-    Value out;
-    if (callee != kExtern) {
-      out = call(callee, call_args, ctx);
-    } else if (!call_extern(insn.callee, call_args, out, ctx)) {
-      fail("call to unknown extern '" + insn.callee + "'");
+  [[nodiscard]] Op decode_insn(
+      const Insn& insn,
+      const std::unordered_map<std::int32_t, std::uint32_t>& labels,
+      const std::unordered_map<std::string, std::size_t>& index) const {
+    Op op;
+    op.rd = insn.rd;
+    op.rs1 = insn.rs1;
+    op.rs2 = insn.rs2;
+    const Kind kind = kKindOf[static_cast<std::size_t>(insn.op)];
+    int variant = kind <= Kind::NeF ? insn.is_float : 0;
+    op.imm.i = insn.imm;
+    if (insn.op == Opcode::LoadImm && insn.is_float) op.imm.f = insn.fimm;
+    if (is_memory_op(insn.op)) {
+      variant = insn.is_float + (insn.mem.size == 4 ? 0 : 2);
+      op.imm.i = insn.mem.const_offset;
     }
-    if (insn.rd != kNoReg) regs[insn.rd] = out;
-  }
-
-  /// Executes one non-control instruction (values, memory, calls, notes);
-  /// `target` is its resolved target.  `event` (nullable) receives the
-  /// resolved address for Load/Store.
-  void step_insn(const Insn& insn, std::size_t target,
-                 std::vector<Value>& regs, std::uint64_t frame_base,
-                 ExecCtx& ctx, TraceEvent* event) {
-    switch (insn.op) {
-      case Opcode::LoadImm:
-        if (insn.is_float) {
-          regs[insn.rd].f = insn.fimm;
-        } else {
-          regs[insn.rd].i = insn.imm;
-        }
-        break;
-      case Opcode::Move:
-        regs[insn.rd] = regs[insn.rs1];
-        break;
-      case Opcode::Add:
-        if (insn.is_float) {
-          regs[insn.rd].f = regs[insn.rs1].f + regs[insn.rs2].f;
-        } else {
-          regs[insn.rd].i = regs[insn.rs1].i + regs[insn.rs2].i;
-        }
-        break;
-      case Opcode::Sub:
-        if (insn.is_float) {
-          regs[insn.rd].f = regs[insn.rs1].f - regs[insn.rs2].f;
-        } else {
-          regs[insn.rd].i = regs[insn.rs1].i - regs[insn.rs2].i;
-        }
-        break;
-      case Opcode::Mul:
-        if (insn.is_float) {
-          regs[insn.rd].f = regs[insn.rs1].f * regs[insn.rs2].f;
-        } else {
-          regs[insn.rd].i = regs[insn.rs1].i * regs[insn.rs2].i;
-        }
-        break;
-      case Opcode::Div:
-        if (insn.is_float) {
-          regs[insn.rd].f = regs[insn.rs1].f / regs[insn.rs2].f;
-        } else {
-          if (regs[insn.rs2].i == 0) fail("integer division by zero");
-          regs[insn.rd].i = regs[insn.rs1].i / regs[insn.rs2].i;
-        }
-        break;
-      case Opcode::Rem:
-        if (regs[insn.rs2].i == 0) fail("integer remainder by zero");
-        regs[insn.rd].i = regs[insn.rs1].i % regs[insn.rs2].i;
-        break;
-      case Opcode::Neg:
-        if (insn.is_float) {
-          regs[insn.rd].f = -regs[insn.rs1].f;
-        } else {
-          regs[insn.rd].i = -regs[insn.rs1].i;
-        }
-        break;
-      case Opcode::And: regs[insn.rd].i = regs[insn.rs1].i & regs[insn.rs2].i; break;
-      case Opcode::Or: regs[insn.rd].i = regs[insn.rs1].i | regs[insn.rs2].i; break;
-      case Opcode::Xor: regs[insn.rd].i = regs[insn.rs1].i ^ regs[insn.rs2].i; break;
-      case Opcode::Not: regs[insn.rd].i = regs[insn.rs1].i == 0 ? 1 : 0; break;
-      case Opcode::Shl: regs[insn.rd].i = regs[insn.rs1].i << (regs[insn.rs2].i & 63); break;
-      case Opcode::Shr: regs[insn.rd].i = regs[insn.rs1].i >> (regs[insn.rs2].i & 63); break;
-      case Opcode::CmpLt:
-        regs[insn.rd].i = insn.is_float ? regs[insn.rs1].f < regs[insn.rs2].f
-                                        : regs[insn.rs1].i < regs[insn.rs2].i;
-        break;
-      case Opcode::CmpLe:
-        regs[insn.rd].i = insn.is_float ? regs[insn.rs1].f <= regs[insn.rs2].f
-                                        : regs[insn.rs1].i <= regs[insn.rs2].i;
-        break;
-      case Opcode::CmpGt:
-        regs[insn.rd].i = insn.is_float ? regs[insn.rs1].f > regs[insn.rs2].f
-                                        : regs[insn.rs1].i > regs[insn.rs2].i;
-        break;
-      case Opcode::CmpGe:
-        regs[insn.rd].i = insn.is_float ? regs[insn.rs1].f >= regs[insn.rs2].f
-                                        : regs[insn.rs1].i >= regs[insn.rs2].i;
-        break;
-      case Opcode::CmpEq:
-        regs[insn.rd].i = insn.is_float ? regs[insn.rs1].f == regs[insn.rs2].f
-                                        : regs[insn.rs1].i == regs[insn.rs2].i;
-        break;
-      case Opcode::CmpNe:
-        regs[insn.rd].i = insn.is_float ? regs[insn.rs1].f != regs[insn.rs2].f
-                                        : regs[insn.rs1].i != regs[insn.rs2].i;
-        break;
-      case Opcode::IntToFp:
-        regs[insn.rd].f = static_cast<double>(regs[insn.rs1].i);
-        break;
-      case Opcode::FpToInt:
-        regs[insn.rd].i = static_cast<std::int64_t>(regs[insn.rs1].f);
-        break;
-      case Opcode::LoadAddr:
-        if (insn.label >= 0) {
-          regs[insn.rd].i = static_cast<std::int64_t>(
-              global_base_[static_cast<std::size_t>(insn.label)] +
-              static_cast<std::uint64_t>(insn.imm));
-        } else {
-          regs[insn.rd].i = static_cast<std::int64_t>(
-              frame_base + static_cast<std::uint64_t>(insn.imm));
-        }
-        break;
-      case Opcode::Load: {
-        const std::uint64_t addr =
-            static_cast<std::uint64_t>(regs[insn.rs1].i + insn.mem.const_offset);
-        if (event != nullptr) event->address = addr;
-        if (insn.is_float) {
-          regs[insn.rd].f = read_fp(addr, insn.mem.size);
-        } else {
-          regs[insn.rd].i = read_int(addr, insn.mem.size);
-        }
+    op.kind = static_cast<Kind>(static_cast<int>(kind) + variant);
+    switch (kind) {
+      case Kind::FrameAddr: {  // LoadAddr: a frame slot, or a global.
+        const auto global = static_cast<std::size_t>(insn.label);
+        if (insn.label < 0) break;
+        op.kind = global < global_base_.size() ? Kind::ImmI : Kind::BadGlobal;
+        if (op.kind == Kind::ImmI) op.imm.i = s64(global_base_[global] + u64(insn.imm));
         break;
       }
-      case Opcode::Store: {
-        const std::uint64_t addr =
-            static_cast<std::uint64_t>(regs[insn.rs1].i + insn.mem.const_offset);
-        if (event != nullptr) event->address = addr;
-        if (insn.is_float) {
-          write_fp(addr, regs[insn.rs2].f, insn.mem.size);
-        } else {
-          write_int(addr, regs[insn.rs2].i, insn.mem.size);
+      case Kind::Jump:
+      case Kind::BranchZ:
+      case Kind::BranchNZ:
+        if (const auto it = labels.find(insn.label); it != labels.end()) {
+          op.target = it->second;
         }
         break;
-      }
-      case Opcode::Call:
-        do_call(insn, target, regs, ctx);
+      case Kind::Call:
+        if (const auto it = index.find(insn.callee); it != index.end()) {
+          op.target = static_cast<std::uint32_t>(it->second);
+        } else {
+          op.kind = Kind::Extern;
+          op.target = static_cast<std::uint32_t>(
+              std::find(std::begin(kBuiltinNames), std::end(kBuiltinNames),
+                        insn.callee) -
+              std::begin(kBuiltinNames));
+        }
         break;
-      case Opcode::Label:
-      case Opcode::LoopBeg:
-      case Opcode::LoopEnd:
+      default:
         break;
-      case Opcode::Jump:
-      case Opcode::BranchZ:
-      case Opcode::BranchNZ:
-      case Opcode::Return:
-        // Only reachable from a parallel slice, whose plan proved the
-        // range straight-line; getting here means the plan is stale.
-        fail("control instruction in a parallel slice");
     }
+    return op;
   }
 
-  /// Straight-line executor for parallel chunks, trip counting and the
-  /// post-join replays: runs [lo, hi) with no control flow except calls.
-  void exec_slice(std::size_t fn, std::vector<Value>& regs, std::size_t lo,
-                  std::size_t hi, std::uint64_t frame_base, ExecCtx& ctx) {
-    const std::vector<Insn>& insns = prog_.functions[fn].insns;
-    const std::vector<std::size_t>& target = targets_[fn];
-    for (std::size_t pc = lo; pc < hi; ++pc) {
-      if (++ctx.executed > ctx.hard_cap) fail("instruction budget exceeded");
-      step_insn(insns[pc], target[pc], regs, frame_base, ctx, nullptr);
-    }
-  }
-
-  [[nodiscard]] static const LoopPlan* find_plan(const RtlFunction& func,
-                                                 std::size_t pc) {
-    for (const LoopPlan& plan : func.parexec) {
-      if (plan.loop_beg == pc) return &plan;
-    }
-    return nullptr;
-  }
-
-  /// Runs prog_.functions[fn]: the dispatch loop.
-  Value call(std::size_t fn, const std::vector<Value>& args, ExecCtx& ctx) {
+  /// Runs prog_.functions[fn] on a fresh register file and frame.
+  /// `args` name registers of the caller's file `caller`.
+  template <bool kTraced>
+  Value call(std::size_t fn, const Value* caller, const std::vector<Reg>& args,
+             ExecCtx& ctx) {
     const RtlFunction& func = prog_.functions[fn];
-    const std::vector<std::size_t>& target = targets_[fn];
     if (++ctx.depth > options_.max_call_depth) fail("call depth exceeded");
     const std::uint64_t frame_base = ctx.stack_top;
     ctx.stack_top += (func.frame_size + 63) / 64 * 64;
@@ -495,97 +365,218 @@ class Interp {
 
     std::vector<Value> regs(static_cast<std::size_t>(func.num_regs) + 1);
     // Incoming register arguments land in the params' staging registers.
-    for (std::size_t i = 0;
-         i < func.param_regs.size() && i < analysis_max_reg_args(); ++i) {
-      if (i < args.size()) regs[static_cast<std::size_t>(func.param_regs[i])] = args[i];
+    const std::size_t n =
+        std::min({func.param_regs.size(), args.size(), kMaxRegArgs});
+    for (std::size_t i = 0; i < n; ++i) {
+      regs[static_cast<std::size_t>(func.param_regs[i])] = caller[args[i]];
     }
-
-    std::size_t pc = 0;
-    Value ret;
-    while (pc < func.insns.size()) {
-      const Insn& insn = func.insns[pc];
-      if (++ctx.executed > ctx.hard_cap) fail("instruction budget exceeded");
-
-      TraceEvent event;
-      event.insn = &insn;
-
-      switch (insn.op) {
-        case Opcode::Jump:
-          if (sink_ != nullptr) sink_->on_insn(event);
-          pc = branch_target(target[pc]);
-          continue;
-        case Opcode::BranchZ:
-        case Opcode::BranchNZ: {
-          if (sink_ != nullptr) sink_->on_insn(event);
-          const bool zero = regs[insn.rs1].i == 0;
-          const bool taken = insn.op == Opcode::BranchZ ? zero : !zero;
-          if (taken) {
-            pc = branch_target(target[pc]);
-            continue;
-          }
-          break;
-        }
-        case Opcode::Call: {
-          // Sink order matters: the timing models see the Call event
-          // BEFORE the callee's instructions, so the case stays here
-          // rather than in step_insn.
-          if (sink_ != nullptr) sink_->on_insn(event);
-          do_call(insn, target[pc], regs, ctx);
-          ++pc;
-          continue;
-        }
-        case Opcode::Return:
-          if (sink_ != nullptr) sink_->on_insn(event);
-          if (insn.rs1 != kNoReg) ret = regs[insn.rs1];
-          ctx.stack_top = frame_base;
-          --ctx.depth;
-          return ret;
-        case Opcode::LoopBeg:
-          if (par_enabled_ && !ctx.is_worker && !func.parexec.empty()) {
-            if (const LoopPlan* plan = find_plan(func, pc)) {
-              if (run_parallel_loop(fn, *plan, regs, frame_base, ctx)) {
-                pc = plan->loop_end + 1;
-                continue;
-              }
-            }
-          }
-          break;
-        default:
-          step_insn(insn, target[pc], regs, frame_base, ctx, &event);
-          break;
-      }
-      if (sink_ != nullptr && insn.op != Opcode::Label &&
-          insn.op != Opcode::LoopBeg && insn.op != Opcode::LoopEnd) {
-        sink_->on_insn(event);
-      }
-      ++pc;
-    }
+    const Value ret = exec<kTraced, false>(fn, regs.data(), 0,
+                                           func.insns.size(), frame_base, ctx);
     ctx.stack_top = frame_base;
     --ctx.depth;
     return ret;
   }
 
-  [[nodiscard]] std::size_t branch_target(std::size_t resolved) const {
-    if (resolved == kNoLabel) fail("branch to an undefined label");
-    return resolved;
+  /// Runs the built-in `builtin` for the Call `insn` over registers `r`.
+  Value call_builtin(Builtin builtin, const Insn& insn, const Value* r,
+                     const ExecCtx& ctx) {
+    const auto arg = [&](std::size_t k) {
+      return k < insn.args.size() ? r[insn.args[k]] : Value{};
+    };
+    Value out;
+    switch (builtin) {
+      case Builtin::Sqrt: out.f = std::sqrt(arg(0).f); break;
+      case Builtin::Fabs: out.f = std::fabs(arg(0).f); break;
+      case Builtin::Sin: out.f = std::sin(arg(0).f); break;
+      case Builtin::Cos: out.f = std::cos(arg(0).f); break;
+      case Builtin::Exp: out.f = std::exp(arg(0).f); break;
+      case Builtin::Log: out.f = std::log(arg(0).f); break;
+      case Builtin::Pow: out.f = std::pow(arg(0).f, arg(1).f); break;
+      case Builtin::Floor: out.f = std::floor(arg(0).f); break;
+      case Builtin::Ceil: out.f = std::ceil(arg(0).f); break;
+      case Builtin::Atan: out.f = std::atan(arg(0).f); break;
+      case Builtin::Emit:
+      case Builtin::Emitd: {
+        // The planner proves loop bodies IO-free before parallelizing, so
+        // a worker can never reach the output sinks; the guard keeps a
+        // planner bug from silently racing on the output hash.
+        if (ctx.is_worker) fail("emit from a parallel worker");
+        const std::uint64_t bits = builtin == Builtin::Emit
+                                       ? static_cast<std::uint64_t>(arg(0).i)
+                                       : std::bit_cast<std::uint64_t>(arg(0).f);
+        output_hash_ = output_hash_ * 1099511628211ull ^ bits;
+        ++emit_count_;
+        break;
+      }
+      case Builtin::Unknown:
+        fail("call to unknown extern '" + insn.callee + "'");
+    }
+    return out;
+  }
+
+  /// The dispatch loop: runs ops [pc, end) of function fn over registers
+  /// `r` and returns the function's return value (zero when control
+  /// falls off the end).  kSlice runs a planned loop's straight-line
+  /// range (trip counting, chunks, join replays): there a control
+  /// instruction traps and a LoopBeg is inert.  kTraced reports each
+  /// executed instruction to sink_ (labels and loop notes excepted).
+  template <bool kTraced, bool kSlice>
+  Value exec(std::size_t fn, Value* r, std::size_t pc, std::size_t end,
+             std::uint64_t frame_base, ExecCtx& ctx) {
+    const Op* const ops = code_[fn].data();
+    const Insn* const insns = prog_.functions[fn].insns.data();
+    // Locals, not members: an arena store is a char store, which may
+    // alias any member, so each member would be reloaded after it.
+    std::uint8_t* const mem = memory_.data();
+    const std::uint64_t mem_size = memory_.size();
+    std::uint64_t executed = ctx.executed;
+    const std::uint64_t cap = ctx.hard_cap;
+    TraceEvent event;
+    // Bounds-checks a `width`-byte access at op's address and returns its
+    // byte in the arena; the trace event records the address.
+    const auto address = [&](const Op& op, std::uint64_t width) {
+      const std::uint64_t addr = u64(r[op.rs1].i) + u64(op.imm.i);
+      if (!in_arena(addr, width, mem_size)) {
+        trap(ctx, executed,
+             "memory access out of range at " + std::to_string(addr));
+      }
+      event.address = addr;
+      return mem + addr;
+    };
+    const auto load = [&](const Op& op, auto value) {
+      std::memcpy(&value, address(op, sizeof value), sizeof value);
+      return value;
+    };
+    const auto store = [&](const Op& op, auto value) {
+      std::memcpy(address(op, sizeof value), &value, sizeof value);
+    };
+    const auto jump = [&](const Op& op) -> std::size_t {
+      if (op.target == kNoTarget) trap(ctx, executed, "branch to an undefined label");
+      return op.target;
+    };
+    const auto control = [&] {
+      // Only reachable from a parallel slice, whose plan proved the
+      // range straight-line; getting here means the plan is stale.
+      trap(ctx, executed, "control instruction in a parallel slice");
+    };
+
+    while (pc < end) {
+      const Op& op = ops[pc];
+      if (++executed > cap) trap(ctx, executed, "instruction budget exceeded");
+      if constexpr (kTraced) event = TraceEvent{&insns[pc], 0};
+      switch (op.kind) {
+        case Kind::Nop: ++pc; continue;
+        case Kind::ParLoop:
+          if (!kSlice && !ctx.is_worker) {
+            const LoopPlan& plan = prog_.functions[fn].parexec[op.target];
+            ctx.executed = executed;
+            const bool ran = run_parallel_loop(fn, plan, r, frame_base, ctx);
+            executed = ctx.executed;
+            pc = ran ? plan.loop_end + 1 : pc + 1;
+            continue;
+          }
+          ++pc;
+          continue;
+        case Kind::ImmI: r[op.rd].i = op.imm.i; break;
+        case Kind::ImmF: r[op.rd].f = op.imm.f; break;
+        case Kind::Move: r[op.rd] = r[op.rs1]; break;
+        case Kind::AddI: r[op.rd].i = s64(u64(r[op.rs1].i) + u64(r[op.rs2].i)); break;
+        case Kind::AddF: r[op.rd].f = r[op.rs1].f + r[op.rs2].f; break;
+        case Kind::SubI: r[op.rd].i = s64(u64(r[op.rs1].i) - u64(r[op.rs2].i)); break;
+        case Kind::SubF: r[op.rd].f = r[op.rs1].f - r[op.rs2].f; break;
+        case Kind::MulI: r[op.rd].i = s64(u64(r[op.rs1].i) * u64(r[op.rs2].i)); break;
+        case Kind::MulF: r[op.rd].f = r[op.rs1].f * r[op.rs2].f; break;
+        case Kind::DivI:
+          if (r[op.rs2].i == 0) trap(ctx, executed, "integer division by zero");
+          r[op.rd].i = r[op.rs1].i / r[op.rs2].i;
+          break;
+        case Kind::DivF: r[op.rd].f = r[op.rs1].f / r[op.rs2].f; break;
+        case Kind::NegI: r[op.rd].i = s64(0 - u64(r[op.rs1].i)); break;
+        case Kind::NegF: r[op.rd].f = -r[op.rs1].f; break;
+        case Kind::LtI: r[op.rd].i = r[op.rs1].i < r[op.rs2].i; break;
+        case Kind::LtF: r[op.rd].i = r[op.rs1].f < r[op.rs2].f; break;
+        case Kind::LeI: r[op.rd].i = r[op.rs1].i <= r[op.rs2].i; break;
+        case Kind::LeF: r[op.rd].i = r[op.rs1].f <= r[op.rs2].f; break;
+        case Kind::GtI: r[op.rd].i = r[op.rs1].i > r[op.rs2].i; break;
+        case Kind::GtF: r[op.rd].i = r[op.rs1].f > r[op.rs2].f; break;
+        case Kind::GeI: r[op.rd].i = r[op.rs1].i >= r[op.rs2].i; break;
+        case Kind::GeF: r[op.rd].i = r[op.rs1].f >= r[op.rs2].f; break;
+        case Kind::EqI: r[op.rd].i = r[op.rs1].i == r[op.rs2].i; break;
+        case Kind::EqF: r[op.rd].i = r[op.rs1].f == r[op.rs2].f; break;
+        case Kind::NeI: r[op.rd].i = r[op.rs1].i != r[op.rs2].i; break;
+        case Kind::NeF: r[op.rd].i = r[op.rs1].f != r[op.rs2].f; break;
+        case Kind::Rem:
+          if (r[op.rs2].i == 0) trap(ctx, executed, "integer remainder by zero");
+          r[op.rd].i = r[op.rs1].i % r[op.rs2].i;
+          break;
+        case Kind::And: r[op.rd].i = r[op.rs1].i & r[op.rs2].i; break;
+        case Kind::Or: r[op.rd].i = r[op.rs1].i | r[op.rs2].i; break;
+        case Kind::Xor: r[op.rd].i = r[op.rs1].i ^ r[op.rs2].i; break;
+        case Kind::Not: r[op.rd].i = r[op.rs1].i == 0 ? 1 : 0; break;
+        case Kind::Shl: r[op.rd].i = r[op.rs1].i << (r[op.rs2].i & 63); break;
+        case Kind::Shr: r[op.rd].i = r[op.rs1].i >> (r[op.rs2].i & 63); break;
+        case Kind::IntToFp: r[op.rd].f = static_cast<double>(r[op.rs1].i); break;
+        case Kind::FpToInt: r[op.rd].i = static_cast<std::int64_t>(r[op.rs1].f); break;
+        case Kind::FrameAddr: r[op.rd].i = s64(frame_base + u64(op.imm.i)); break;
+        case Kind::BadGlobal:
+          trap(ctx, executed, "address of an undefined global");
+        case Kind::LoadI4: r[op.rd].i = load(op, std::int32_t{}); break;
+        case Kind::LoadF4: r[op.rd].f = load(op, float{}); break;
+        case Kind::LoadI: r[op.rd].i = load(op, std::int64_t{}); break;
+        case Kind::LoadF: r[op.rd].f = load(op, double{}); break;
+        case Kind::StoreI4:
+          store(op, static_cast<std::int32_t>(r[op.rs2].i));
+          break;
+        case Kind::StoreF4: store(op, static_cast<float>(r[op.rs2].f)); break;
+        case Kind::StoreI: store(op, r[op.rs2].i); break;
+        case Kind::StoreF: store(op, r[op.rs2].f); break;
+        case Kind::Jump:
+          if constexpr (kSlice) control();
+          if constexpr (kTraced) sink_->on_insn(event);
+          pc = jump(op);
+          continue;
+        case Kind::BranchZ:
+        case Kind::BranchNZ:
+          if constexpr (kSlice) control();
+          if constexpr (kTraced) sink_->on_insn(event);
+          if ((r[op.rs1].i == 0) == (op.kind == Kind::BranchZ)) {
+            pc = jump(op);
+            continue;
+          }
+          // KNOWN DEFECT, kept so the Table 2 cycle rows stay put: an
+          // untaken branch falls through to the event below and so
+          // reaches the sink twice (ROADMAP; DESIGN.md timing models).
+          break;
+        case Kind::Call:
+        case Kind::Extern: {
+          // The sink sees the Call before the callee's instructions.
+          if constexpr (kTraced) sink_->on_insn(event);
+          ctx.executed = executed;
+          const Value out =
+              op.kind == Kind::Call
+                  ? call<kTraced>(op.target, r, insns[pc].args, ctx)
+                  : call_builtin(static_cast<Builtin>(op.target), insns[pc],
+                                 r, ctx);
+          executed = ctx.executed;
+          if (op.rd != kNoReg) r[op.rd] = out;
+          ++pc;
+          continue;
+        }
+        case Kind::Return:
+          if constexpr (kSlice) control();
+          if constexpr (kTraced) sink_->on_insn(event);
+          ctx.executed = executed;
+          return op.rs1 != kNoReg ? r[op.rs1] : Value{};
+      }
+      if constexpr (kTraced) sink_->on_insn(event);
+      ++pc;
+    }
+    ctx.executed = executed;
+    return Value{};
   }
 
   [[nodiscard]] static Value reduction_identity(ReductionKind kind) {
-    Value v;
-    switch (kind) {
-      case ReductionKind::Add:
-      case ReductionKind::Or:
-      case ReductionKind::Xor:
-        v.i = 0;
-        break;
-      case ReductionKind::Mul:
-        v.i = 1;
-        break;
-      case ReductionKind::And:
-        v.i = -1;
-        break;
-    }
-    return v;
+    return {kind == ReductionKind::Mul ? 1 : kind == ReductionKind::And ? -1 : 0};
   }
 
   static void combine_reduction(ReductionKind kind, Value& acc,
@@ -606,9 +597,10 @@ class Interp {
   /// serial run would).  On success the master's registers and counters
   /// are byte-identical to what serial execution would have produced.
   bool run_parallel_loop(std::size_t fn, const LoopPlan& plan,
-                         std::vector<Value>& regs, std::uint64_t frame_base,
+                         Value* regs, std::uint64_t frame_base,
                          ExecCtx& ctx) {
     const RtlFunction& func = prog_.functions[fn];
+    const auto num_regs = static_cast<std::size_t>(func.num_regs) + 1;
     const Insn& exit_br = func.insns[plan.exit_branch];
     const Reg iv = plan.induction;
     const std::uint64_t cond_insns = plan.exit_branch - plan.cond_begin;
@@ -650,8 +642,8 @@ class Interp {
     std::uint64_t trips = 0;
     for (;;) {
       regs[iv].i = iv0 + static_cast<std::int64_t>(trips) * plan.step;
-      exec_slice(fn, regs, plan.cond_begin, plan.exit_branch, frame_base,
-                 scratch);
+      exec<false, true>(fn, regs, plan.cond_begin, plan.exit_branch,
+                        frame_base, scratch);
       const bool zero = regs[exit_br.rs1].i == 0;
       const bool taken = exit_br.op == Opcode::BranchZ ? zero : !zero;
       if (taken) break;
@@ -715,7 +707,7 @@ class Interp {
         // is re-defined before its first read inside an iteration (the
         // planner rejected cross-iteration register flow), so the master
         // snapshot is a valid starting state for ANY iteration.
-        wregs = regs;
+        wregs.assign(regs, regs + num_regs);
         for (std::size_t k = 0; k < plan.reductions.size(); ++k) {
           wregs[plan.reductions[k].reg] =
               reduction_identity(plan.reductions[k].kind);
@@ -734,10 +726,10 @@ class Interp {
             }
           }
           wregs[iv].i = iv0 + static_cast<std::int64_t>(i) * plan.step;
-          exec_slice(fn, wregs, plan.cond_begin, plan.exit_branch,
-                     frame_base, wctx);
-          exec_slice(fn, wregs, plan.body_begin, plan.body_end, frame_base,
-                     wctx);
+          exec<false, true>(fn, wregs.data(), plan.cond_begin,
+                            plan.exit_branch, frame_base, wctx);
+          exec<false, true>(fn, wregs.data(), plan.body_begin, plan.body_end,
+                            frame_base, wctx);
           if (!plan.doall) board.publish(c, i - chunk.begin + 1);
           if (wctx.executed - flushed >= 65536) flush_budget();
         }
@@ -802,9 +794,10 @@ class Interp {
     ExecCtx replay;
     replay.hard_cap = UINT64_MAX;
     regs[iv].i = iv0 + static_cast<std::int64_t>(trips - 1) * plan.step;
-    exec_slice(fn, regs, plan.step_begin, plan.backedge, frame_base, replay);
-    exec_slice(fn, regs, plan.cond_begin, plan.exit_branch, frame_base,
-               replay);
+    exec<false, true>(fn, regs, plan.step_begin, plan.backedge, frame_base,
+                      replay);
+    exec<false, true>(fn, regs, plan.cond_begin, plan.exit_branch, frame_base,
+                      replay);
 
     if (dispatched_.insert(&plan).second) ++stats_.loops_parallelized;
     ++stats_.invocations;
@@ -821,7 +814,7 @@ class Interp {
     return true;
   }
 
-  static constexpr std::size_t analysis_max_reg_args() { return 4; }
+  static constexpr std::size_t kMaxRegArgs = 4;
 
   const RtlProgram& prog_;
   TraceSink* sink_;
@@ -832,8 +825,8 @@ class Interp {
   std::uint64_t master_limit_ = 0;
   std::uint64_t worker_stack_size_ = 0;
   bool par_enabled_ = false;
-  /// Per function, per instruction: the resolved target (resolve_targets).
-  std::vector<std::vector<std::size_t>> targets_;
+  /// Per function, the decoded op stream (decode).
+  std::vector<std::vector<Op>> code_;
   std::uint64_t output_hash_ = 1469598103934665603ull;
   std::uint64_t emit_count_ = 0;
   ParexecStats stats_;

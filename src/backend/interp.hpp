@@ -5,6 +5,11 @@
 //   2. Execution driver for the machine timing models — the interpreter
 //      streams executed instructions (with resolved memory addresses) to a
 //      TraceSink, from which the R4600/R10000-like models compute cycles.
+// Each run first decodes every function into a dense op stream (32 bytes
+// an op, indexed like the function's insns): opcodes specialized by type
+// and access width, branch and call targets resolved, global addresses
+// folded.  One dispatch loop runs it serially, traced, or as a parallel
+// loop's straight-line slice.
 #pragma once
 
 #include <cstdint>
@@ -85,9 +90,11 @@ struct InterpOptions {
   /// reaches this volume; below it the fork/join overhead dominates and
   /// the loop runs serially (counted in ParexecStats::serial_fallbacks).
   /// The dispatch cost is one register-file copy per chunk (DOALL runs
-  /// one chunk per lane) plus a generation hand-off to workers that are still spinning (a futex
-  /// wake only after they parked), a few hundred instructions' worth of
-  /// work.  Tests set 0 to force dispatch of tiny loops.
+  /// one chunk per lane) plus a generation hand-off to workers that are
+  /// still spinning (a futex wake only after they parked).  The op stream
+  /// made instructions about 2.3x cheaper and dispatch no cheaper, so it
+  /// now costs over twice the instructions it did and short loops dispatch
+  /// at or below break-even.  Tests set 0 to force dispatch of tiny loops.
   std::uint64_t min_par_insns = 512;
 };
 

@@ -15,7 +15,7 @@
 // run() is a barrier: it returns after every worker finished the job.
 // A job exception is captured (first one wins) and rethrown on the
 // calling thread after the join, so interpreter faults inside a chunk
-// (memory range, division by zero) surface exactly like serial ones.
+// (memory range, division by zero) surface with the serial message.
 #pragma once
 
 #include <atomic>

@@ -182,6 +182,117 @@ TEST(InterpTest, ArenaEndsAtItsLastByte) {
                             std::to_string(options.memory_bytes - 3));
 }
 
+// --- Trap paths on hand-built RTL ------------------------------------
+
+Insn imm(Reg rd, std::int64_t value) {
+  Insn insn;
+  insn.op = Opcode::LoadImm;
+  insn.rd = rd;
+  insn.imm = value;
+  return insn;
+}
+
+Insn branch(Opcode op, Reg rs1, std::int32_t label) {
+  Insn insn;
+  insn.op = op;
+  insn.rs1 = rs1;
+  insn.label = label;
+  return insn;
+}
+
+Insn ret(Reg rs1) {
+  Insn insn;
+  insn.op = Opcode::Return;
+  insn.rs1 = rs1;
+  return insn;
+}
+
+RtlProgram single_function(std::vector<Insn> insns, Reg num_regs) {
+  RtlFunction f;
+  f.name = "main";
+  f.num_regs = num_regs;
+  f.insns = std::move(insns);
+  RtlProgram prog;
+  prog.functions.push_back(std::move(f));
+  return prog;
+}
+
+/// main() { r0 = cond; if (r0 == 0) goto 99; return 7; } where label 99
+/// is defined nowhere.
+RtlProgram branch_to_nowhere(std::int64_t cond) {
+  return single_function(
+      {imm(0, cond), branch(Opcode::BranchZ, 0, 99), imm(1, 7), ret(1)}, 2);
+}
+
+TEST(InterpTest, UntakenBranchToUndefinedLabelRunsClean) {
+  const RunResult r = run_program(branch_to_nowhere(1));
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.return_value, 7);
+  EXPECT_EQ(r.dynamic_insns, 4u);
+}
+
+TEST(InterpTest, TakenBranchToUndefinedLabelTraps) {
+  const RunResult r = run_program(branch_to_nowhere(0));
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.error, "interp: branch to an undefined label");
+  EXPECT_EQ(r.dynamic_insns, 2u);
+}
+
+TEST(InterpTest, UnexecutedCallToUnknownExternRunsClean) {
+  // main() { r0 = 1; if (r0 != 0) goto 1; mystery(); 1: return r0; }
+  Insn call;
+  call.op = Opcode::Call;
+  call.callee = "mystery";
+  Insn label;
+  label.op = Opcode::Label;
+  label.label = 1;
+  const RtlProgram prog = single_function(
+      {imm(0, 1), branch(Opcode::BranchNZ, 0, 1), call, label, ret(0)}, 1);
+  const RunResult r = run_program(prog);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.return_value, 1);
+  EXPECT_EQ(r.dynamic_insns, 4u);
+}
+
+/// Runs `prog` at 1 and at 4 lanes; both must trap with `error` after
+/// exactly `insns` instructions, the trapping one included.
+void expect_trap_at(const RtlProgram& prog, const std::string& error,
+                    std::uint64_t insns) {
+  for (const unsigned lanes : {1u, 4u}) {
+    InterpOptions options;
+    options.exec_threads = lanes;
+    const RunResult r = run_program(prog, "main", nullptr, options);
+    EXPECT_FALSE(r.ok) << lanes << " lanes";
+    EXPECT_EQ(r.error, error) << lanes << " lanes";
+    EXPECT_EQ(r.dynamic_insns, insns) << lanes << " lanes";
+  }
+}
+
+TEST(InterpTest, DivideByZeroTrapCountsTheTrappingInsn) {
+  Insn div;
+  div.op = Opcode::Div;
+  div.rd = 2;
+  div.rs1 = 0;
+  div.rs2 = 1;
+  Insn rem = div;
+  rem.op = Opcode::Rem;
+  expect_trap_at(single_function({imm(0, 5), imm(1, 0), div, ret(2)}, 3),
+                 "interp: integer division by zero", 3);
+  expect_trap_at(
+      single_function({imm(0, 5), imm(1, 0), imm(2, 1), rem, ret(2)}, 3),
+      "interp: integer remainder by zero", 4);
+}
+
+TEST(InterpTest, OutOfRangeLoadTrapCountsTheTrappingInsn) {
+  // Address 0 is null; the load is the third instruction.
+  Insn load;
+  load.op = Opcode::Load;
+  load.rd = 1;
+  load.rs1 = 0;
+  expect_trap_at(single_function({imm(0, 0), imm(1, 3), load, ret(1)}, 2),
+                 "interp: memory access out of range at 0", 3);
+}
+
 TEST(InterpTest, UnwrittenHighMemoryReadsZero) {
   const RunResult r = run_src(
       "int a[4]; int main() { int *p; p = a + 200000; return *p; }");
