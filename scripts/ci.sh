@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Local mirror of .github/workflows/ci.yml: the layering lint, tier-1
-# tests, the verifier acceptance sweep, sanitizer runs, clang-tidy, the
-# telemetry stats gate, and the bench smoke.
+# tests, the verifier acceptance sweep, the Release -Werror build,
+# sanitizer runs, clang-tidy, the telemetry stats gate, and the bench
+# smoke.
 # Each stage can be skipped by name: `scripts/ci.sh tier1 asan` runs only
 # those; no arguments runs everything available on this machine.
 set -euo pipefail
@@ -59,6 +60,14 @@ stage_tier1() {
   ./build/tests/driver/driver_tests --gtest_filter='*StoreImport*'
   ./build/tools/hlic --emit=binary --stats --run wc
   ./build/bench/bench_serialize --json build/BENCH_serialize.json
+}
+
+stage_release() {
+  # Build only: the optimizer's extra analysis at -O3 must not turn up a
+  # warning the RelWithDebInfo tier-1 build misses.
+  cmake -B build-release "${GENERATOR[@]}" -DCMAKE_BUILD_TYPE=Release \
+    -DCMAKE_CXX_FLAGS=-Werror
+  cmake --build build-release -j "$JOBS"
 }
 
 stage_fuzz() {
@@ -326,6 +335,7 @@ stage_bench() {
 
 want layering "${STAGES[@]}" && stage_layering
 want tier1 "${STAGES[@]}" && stage_tier1
+want release "${STAGES[@]}" && stage_release
 want parexec "${STAGES[@]}" && stage_parexec
 want fuzz  "${STAGES[@]}" && stage_fuzz
 want asan  "${STAGES[@]}" && stage_asan

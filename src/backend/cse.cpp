@@ -7,16 +7,12 @@
 #include <vector>
 
 #include "backend/gcc_alias.hpp"
-#include "hli/batch_query.hpp"
+#include "backend/hli_pairs.hpp"
 #include "support/telemetry.hpp"
 
 namespace hli::backend {
 
 namespace {
-const telemetry::Counter c_batch_pairs =
-    telemetry::counter("query.batch_pairs");
-const telemetry::Counter c_batch_fallbacks =
-    telemetry::counter("query.batch_fallbacks");
 const telemetry::Counter c_exprs_reused = telemetry::counter("cse.exprs_reused");
 const telemetry::Counter c_loads_reused = telemetry::counter("cse.loads_reused");
 const telemetry::Counter c_loads_deleted =
@@ -83,23 +79,15 @@ namespace {
   }
 }
 
-/// Per-function scratch for batched invalidation queries: the conflict
-/// matrix and its item lists keep their capacity across blocks.
-struct CseScratch {
-  std::vector<format::ItemId> mem_items;
-  std::vector<format::ItemId> call_items;
-  query::BlockConflictMatrix matrix;
-};
-
 class BlockCse {
  public:
   BlockCse(RtlFunction& func, std::size_t begin, std::size_t end,
-           const CseOptions& options, CseStats& stats, CseScratch& scratch)
+           const CseOptions& options, CseStats& stats, HliPairs& pairs)
       : func_(func), begin_(begin), end_(end), options_(options), stats_(stats),
-        scratch_(scratch) {}
+        pairs_(pairs) {}
 
   void run() {
-    prepare_matrix();
+    pairs_.prepare(func_.insns, begin_, end_);
     for (std::size_t at = begin_; at < end_; ++at) {
       Insn& insn = func_.insns[at];
       // Sequencing matters: (1) look up reuse against the PRE-insn tables,
@@ -157,58 +145,6 @@ class BlockCse {
 
  private:
   using Key = std::tuple<Opcode, bool, Reg, Reg, std::int64_t, std::int64_t>;
-  static constexpr std::uint32_t kNoSlot = query::BlockConflictMatrix::kNoSlot;
-
-  /// Builds one conflict matrix over the block's memory and call items so
-  /// every invalidation question below is a bit test.
-  void prepare_matrix() {
-    if (!options_.batch_queries || !options_.use_hli ||
-        options_.view == nullptr) {
-      return;
-    }
-    scratch_.mem_items.clear();
-    scratch_.call_items.clear();
-    for (std::size_t at = begin_; at < end_; ++at) {
-      const Insn& insn = func_.insns[at];
-      if (is_memory_op(insn.op) && insn.mem.hli_item != format::kNoItem) {
-        scratch_.mem_items.push_back(insn.mem.hli_item);
-      } else if (insn.op == Opcode::Call &&
-                 insn.hli_item != format::kNoItem) {
-        scratch_.call_items.push_back(insn.hli_item);
-      }
-    }
-    scratch_.matrix.build(*options_.view, scratch_.mem_items,
-                          scratch_.call_items);
-    batched_ = true;
-  }
-
-  /// may_conflict(a, b) != None, from the matrix when batching.
-  [[nodiscard]] bool mem_conflict(format::ItemId a, format::ItemId b) const {
-    if (batched_) {
-      const std::uint32_t sa = scratch_.matrix.slot_of(a);
-      const std::uint32_t sb = scratch_.matrix.slot_of(b);
-      if (sa != kNoSlot && sb != kNoSlot) {
-        c_batch_pairs.add();
-        return scratch_.matrix.conflict(sa, sb);
-      }
-      c_batch_fallbacks.add();
-    }
-    return options_.view->may_conflict(a, b) != query::EquivAcc::None;
-  }
-
-  [[nodiscard]] query::CallAcc call_acc(format::ItemId mem,
-                                        format::ItemId call) const {
-    if (batched_) {
-      const std::uint32_t sm = scratch_.matrix.slot_of(mem);
-      const std::uint32_t sc = scratch_.matrix.call_slot_of(call);
-      if (sm != kNoSlot && sc != kNoSlot) {
-        c_batch_pairs.add();
-        return scratch_.matrix.call_acc(sm, sc);
-      }
-      c_batch_fallbacks.add();
-    }
-    return options_.view->get_call_acc(mem, call);
-  }
 
   struct LoadEntry {
     Reg address = kNoReg;
@@ -284,7 +220,8 @@ class BlockCse {
       if (conflict && options_.use_hli && options_.view != nullptr &&
           entry.mem.hli_item != format::kNoItem &&
           store.mem.hli_item != format::kNoItem) {
-        conflict = mem_conflict(entry.mem.hli_item, store.mem.hli_item);
+        conflict =
+            pairs_.mem_pair(entry.mem.hli_item, store.mem.hli_item).conflict();
       }
       if (conflict && options_.fallback != nullptr) {
         conflict = options_.fallback->may_conflict(entry.pos, store_pos);
@@ -308,7 +245,7 @@ class BlockCse {
       bool clobbered = true;
       if (have_hli && entry.mem.hli_item != format::kNoItem) {
         const query::CallAcc acc =
-            call_acc(entry.mem.hli_item, call.hli_item);
+            pairs_.call_acc(entry.mem.hli_item, call.hli_item);
         clobbered = acc == query::CallAcc::Mod || acc == query::CallAcc::RefMod;
       }
       if (clobbered && options_.fallback != nullptr) {
@@ -343,8 +280,7 @@ class BlockCse {
   std::size_t end_;
   const CseOptions& options_;
   CseStats& stats_;
-  CseScratch& scratch_;
-  bool batched_ = false;
+  HliPairs& pairs_;
   std::map<Key, Reg> values_;
   std::vector<LoadEntry> loads_;
   std::unordered_map<Reg, Reg> copies_;
@@ -354,7 +290,8 @@ class BlockCse {
 
 CseStats cse_function(RtlFunction& func, const CseOptions& options) {
   CseStats stats;
-  CseScratch scratch;  // One arena for all blocks of the function.
+  HliPairs pairs(options.use_hli ? options.view : nullptr,
+                 options.batch_queries);  // One arena for all blocks.
   std::size_t at = 0;
   while (at < func.insns.size()) {
     if (block_boundary(func.insns[at])) {
@@ -363,7 +300,7 @@ CseStats cse_function(RtlFunction& func, const CseOptions& options) {
     }
     std::size_t end = at;
     while (end < func.insns.size() && !block_boundary(func.insns[end])) ++end;
-    BlockCse cse(func, at, end, options, stats, scratch);
+    BlockCse cse(func, at, end, options, stats, pairs);
     cse.run();
     at = end;
   }

@@ -39,9 +39,9 @@ struct CseStats {
 struct CseOptions {
   bool use_hli = false;
   const query::HliUnitView* view = nullptr;
-  /// Build one BlockConflictMatrix per basic block and answer the store/
-  /// call invalidation queries with bit tests (answers are bit-identical
-  /// to the scalar view, so the rewritten RTL is too).
+  /// Answer the store/call invalidation queries from one conflict matrix
+  /// per basic block instead of the scalar view (HliPairs, hli_pairs.hpp);
+  /// the answers, and so the rewritten RTL, are identical either way.
   bool batch_queries = false;
   /// Invoked for every load insn CSE deletes, BEFORE the rewrite, so the
   /// caller can run HLI maintenance (delete_item) on the mapped item.

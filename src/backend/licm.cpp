@@ -5,16 +5,12 @@
 #include <vector>
 
 #include "backend/gcc_alias.hpp"
-#include "hli/batch_query.hpp"
+#include "backend/hli_pairs.hpp"
 #include "support/telemetry.hpp"
 
 namespace hli::backend {
 
 namespace {
-const telemetry::Counter c_batch_pairs =
-    telemetry::counter("query.batch_pairs");
-const telemetry::Counter c_batch_fallbacks =
-    telemetry::counter("query.batch_fallbacks");
 const telemetry::Counter c_pure_hoisted =
     telemetry::counter("licm.pure_hoisted");
 const telemetry::Counter c_loads_hoisted =
@@ -85,23 +81,16 @@ std::vector<Loop> find_innermost_loops(const RtlFunction& func) {
   }
 }
 
-/// Reusable scratch for the batched hoisting-safety queries: one
-/// conflict matrix (with the loop's LCDD plane) rebuilt per loop.
-struct LicmScratch {
-  std::vector<format::ItemId> mem_items;
-  std::vector<format::ItemId> call_items;
-  query::BlockConflictMatrix matrix;
-};
-
 class LoopLicm {
  public:
   LoopLicm(RtlFunction& func, const Loop& loop, const LicmOptions& options,
-           LicmStats& stats, LicmScratch& scratch)
+           LicmStats& stats, HliPairs& pairs)
       : func_(func), loop_(loop), options_(options), stats_(stats),
-        scratch_(scratch) {}
+        pairs_(pairs) {}
 
   void run() {
-    prepare_matrix();
+    // The loop-carried answers come from this loop's LCDD table.
+    pairs_.prepare(func_.insns, loop_.beg + 1, loop_.end, loop_region());
     collect_defs();
     // Iterate: hoisting one insn can make another invariant.
     bool changed = true;
@@ -136,35 +125,8 @@ class LoopLicm {
   }
 
  private:
-  static constexpr std::uint32_t kNoSlot = query::BlockConflictMatrix::kNoSlot;
-
   [[nodiscard]] format::RegionId loop_region() const {
     return func_.insns[loop_.beg].loop_region;
-  }
-
-  /// One matrix over the loop body's memory + call items, with the
-  /// loop-carried plane from this loop's LCDD table: each candidate load
-  /// then tests every store with two bit probes instead of a scalar LCA
-  /// walk plus an LCDD table scan.
-  void prepare_matrix() {
-    if (!options_.batch_queries || !options_.use_hli ||
-        options_.view == nullptr) {
-      return;
-    }
-    scratch_.mem_items.clear();
-    scratch_.call_items.clear();
-    for (std::size_t i = loop_.beg + 1; i < loop_.end; ++i) {
-      const Insn& insn = func_.insns[i];
-      if (is_memory_op(insn.op) && insn.mem.hli_item != format::kNoItem) {
-        scratch_.mem_items.push_back(insn.mem.hli_item);
-      } else if (insn.op == Opcode::Call &&
-                 insn.hli_item != format::kNoItem) {
-        scratch_.call_items.push_back(insn.hli_item);
-      }
-    }
-    scratch_.matrix.build(*options_.view, scratch_.mem_items,
-                          scratch_.call_items, loop_region());
-    batched_ = true;
   }
 
   void collect_defs() {
@@ -217,30 +179,9 @@ class LoopLicm {
             insn.mem.hli_item != format::kNoItem) {
           // Both the within-iteration view and the loop-carried table must
           // clear the pair before hoisting across iterations is safe.
-          bool within;
-          bool carried;
-          std::uint32_t sa = kNoSlot;
-          std::uint32_t sb = kNoSlot;
-          if (batched_) {
-            sa = scratch_.matrix.slot_of(load.mem.hli_item);
-            sb = scratch_.matrix.slot_of(insn.mem.hli_item);
-          }
-          if (sa != kNoSlot && sb != kNoSlot) {
-            c_batch_pairs.add();
-            within = scratch_.matrix.conflict(sa, sb);
-            carried = scratch_.matrix.loop_carried(sa, sb);
-          } else {
-            if (batched_) c_batch_fallbacks.add();
-            within =
-                options_.view->may_conflict(load.mem.hli_item,
-                                            insn.mem.hli_item) !=
-                query::EquivAcc::None;
-            carried = !options_.view
-                           ->get_lcdd(loop_region(), load.mem.hli_item,
-                                      insn.mem.hli_item)
-                           .empty();
-          }
-          conflict = within || carried;
+          const HliPairs::MemPair pair =
+              pairs_.mem_pair(load.mem.hli_item, insn.mem.hli_item);
+          conflict = pair.conflict() || pair.loop_carried();
         }
         if (conflict && options_.fallback != nullptr) {
           // Hoisting moves the load across every iteration, so both the
@@ -258,21 +199,8 @@ class LoopLicm {
         if (options_.use_hli && options_.view != nullptr &&
             load.mem.hli_item != format::kNoItem &&
             insn.hli_item != format::kNoItem) {
-          query::CallAcc acc;
-          std::uint32_t sm = kNoSlot;
-          std::uint32_t sc = kNoSlot;
-          if (batched_) {
-            sm = scratch_.matrix.slot_of(load.mem.hli_item);
-            sc = scratch_.matrix.call_slot_of(insn.hli_item);
-          }
-          if (sm != kNoSlot && sc != kNoSlot) {
-            c_batch_pairs.add();
-            acc = scratch_.matrix.call_acc(sm, sc);
-          } else {
-            if (batched_) c_batch_fallbacks.add();
-            acc = options_.view->get_call_acc(load.mem.hli_item,
-                                              insn.hli_item);
-          }
+          const query::CallAcc acc =
+              pairs_.call_acc(load.mem.hli_item, insn.hli_item);
           clobbers = acc == query::CallAcc::Mod || acc == query::CallAcc::RefMod;
         }
         if (clobbers && options_.fallback != nullptr) {
@@ -316,8 +244,7 @@ class LoopLicm {
   const Loop& loop_;
   const LicmOptions& options_;
   LicmStats& stats_;
-  LicmScratch& scratch_;
-  bool batched_ = false;
+  HliPairs& pairs_;
   std::set<Reg> defs_in_loop_;
   std::set<std::size_t> hoisted_;
 };
@@ -326,7 +253,8 @@ class LoopLicm {
 
 LicmStats licm_function(RtlFunction& func, const LicmOptions& options) {
   LicmStats stats;
-  LicmScratch scratch;  // One arena for all loops of the function.
+  HliPairs pairs(options.use_hli ? options.view : nullptr,
+                 options.batch_queries);  // One arena for all loops.
   // Process loops one at a time; indices shift after each rewrite, so
   // re-discover until no further hoisting happens.
   bool changed = true;
@@ -340,7 +268,7 @@ LicmStats licm_function(RtlFunction& func, const LicmOptions& options) {
       // Each prior rewrite shifted indices; the oracle must answer for the
       // stream as it is now.
       if (options.fallback != nullptr) options.fallback->refresh(func);
-      LoopLicm licm(func, loop, options, stats, scratch);
+      LoopLicm licm(func, loop, options, stats, pairs);
       licm.run();
       changed = true;
       break;  // Indices invalidated: rescan.

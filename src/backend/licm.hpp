@@ -39,9 +39,10 @@ struct LicmStats {
 struct LicmOptions {
   bool use_hli = false;
   const query::HliUnitView* view = nullptr;
-  /// Build one BlockConflictMatrix per loop (conflict + loop-carried +
-  /// call planes) and answer the hoisting-safety queries with bit tests;
-  /// bit-identical to the scalar view, so hoisting decisions are too.
+  /// Answer the hoisting-safety queries from one conflict matrix per loop
+  /// (with the loop's LCDD plane) instead of the scalar view (HliPairs,
+  /// hli_pairs.hpp); the answers, and so the hoisting decisions, are
+  /// identical either way.
   bool batch_queries = false;
   /// Called for every hoisted load's item with the loop region it left, so
   /// the driver can update the HLI (maintenance move_item_to_region).

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "backend/gcc_alias.hpp"
-#include "hli/batch_query.hpp"
+#include "backend/hli_pairs.hpp"
 #include "support/telemetry.hpp"
 
 namespace hli::backend {
@@ -26,17 +26,10 @@ const telemetry::Counter c_call_edges_pruned =
 const telemetry::Counter c_blocks = telemetry::counter("sched.blocks");
 const telemetry::Counter c_insns_scheduled =
     telemetry::counter("sched.insns_scheduled");
-const telemetry::Counter c_cache_hits = telemetry::counter("sched.cache_hits");
-const telemetry::Counter c_cache_misses =
-    telemetry::counter("sched.cache_misses");
 const telemetry::Counter c_hli_answers =
     telemetry::counter("query.hli_answers");
 const telemetry::Counter c_native_fallbacks =
     telemetry::counter("query.native_fallbacks");
-const telemetry::Counter c_batch_pairs =
-    telemetry::counter("query.batch_pairs");
-const telemetry::Counter c_batch_fallbacks =
-    telemetry::counter("query.batch_fallbacks");
 
 /// Registers read by an instruction.
 void reads_of(const Insn& insn, std::vector<Reg>& out) {
@@ -104,21 +97,20 @@ std::vector<Block> find_blocks(const RtlFunction& func) {
 
 /// Per-function scratch for block DDG construction, hoisted out of the
 /// inner loops so edge building stops allocating per pair: the read-set
-/// vectors, the per-`j` edge bitmap, the block occupancy bitmaps, and
-/// (when batching) the conflict matrix with its item->slot maps all keep
-/// their capacity across blocks.
+/// vectors, the per-`j` edge bitmap, the block occupancy bitmaps, and the
+/// HLI pair queries (with their conflict matrix) all keep their capacity
+/// across blocks.
 struct SchedScratch {
+  explicit SchedScratch(const SchedOptions& options)
+      : pairs(options.view, options.batch_queries, options.cache) {}
+
   std::vector<Reg> j_reads;
   std::vector<Reg> i_reads;
   std::vector<std::uint64_t> edge_row;   ///< i-bits with an edge to j.
   std::vector<std::uint64_t> mem_pos;    ///< i-bits that are memory ops.
   std::vector<std::uint64_t> store_pos;  ///< i-bits that are stores.
   std::vector<std::uint64_t> call_pos;   ///< i-bits that are calls.
-  std::vector<format::ItemId> mem_items;
-  std::vector<format::ItemId> call_items;
-  std::vector<std::uint32_t> mem_slot;   ///< Local insn -> matrix slot.
-  std::vector<std::uint32_t> call_slot;  ///< Local insn -> call slot.
-  query::BlockConflictMatrix matrix;
+  HliPairs pairs;
 };
 
 class BlockScheduler {
@@ -135,8 +127,6 @@ class BlockScheduler {
   }
 
  private:
-  static constexpr std::uint32_t kNoSlot = query::BlockConflictMatrix::kNoSlot;
-
   [[nodiscard]] const Insn& insn_at(std::size_t local) const {
     return func_.insns[block_.begin + local];
   }
@@ -153,34 +143,6 @@ class BlockScheduler {
     ++preds_[j];
   }
 
-  /// HLI disambiguation answer for a local instruction pair: one bit test
-  /// against the block's conflict matrix when batching, else the scalar
-  /// may_conflict (memoized per unordered item pair when a cache is
-  /// supplied).  Identical answers by the matrix's differential contract.
-  [[nodiscard]] bool hli_conflict(std::size_t i, std::size_t j,
-                                  format::ItemId a, format::ItemId b) {
-    if (batched_) {
-      const std::uint32_t sa = scratch_.mem_slot[i];
-      const std::uint32_t sb = scratch_.mem_slot[j];
-      if (sa != kNoSlot && sb != kNoSlot) {
-        c_batch_pairs.add();
-        return scratch_.matrix.conflict(sa, sb);
-      }
-      c_batch_fallbacks.add();
-    }
-    if (options_.cache != nullptr) {
-      if (const auto hit = options_.cache->lookup(a, b)) {
-        c_cache_hits.add();
-        return *hit != query::EquivAcc::None;
-      }
-      c_cache_misses.add();
-      const query::EquivAcc answer = options_.view->may_conflict(a, b);
-      options_.cache->insert(a, b, answer);
-      return answer != query::EquivAcc::None;
-    }
-    return options_.view->may_conflict(a, b) != query::EquivAcc::None;
-  }
-
   /// The combined memory disambiguation of Figure 5, with stats.
   [[nodiscard]] bool mem_dependence(std::size_t i, std::size_t j) {
     const Insn& a = insn_at(i);
@@ -191,7 +153,8 @@ class BlockScheduler {
     if (options_.view != nullptr && a.mem.hli_item != format::kNoItem &&
         b.mem.hli_item != format::kNoItem) {
       c_hli_answers.add();
-      hli_value = hli_conflict(i, j, a.mem.hli_item, b.mem.hli_item);
+      hli_value = scratch_.pairs.mem_pair(a.mem.hli_item, b.mem.hli_item)
+                      .conflict();
     } else {
       c_native_fallbacks.add();
     }
@@ -219,16 +182,8 @@ class BlockScheduler {
     bool depends = true;
     if (options_.view != nullptr && mem.mem.hli_item != format::kNoItem &&
         call.hli_item != format::kNoItem) {
-      query::CallAcc acc;
-      if (batched_ && scratch_.mem_slot[mem_local] != kNoSlot &&
-          scratch_.call_slot[call_local] != kNoSlot) {
-        c_batch_pairs.add();
-        acc = scratch_.matrix.call_acc(scratch_.mem_slot[mem_local],
-                                       scratch_.call_slot[call_local]);
-      } else {
-        if (batched_) c_batch_fallbacks.add();
-        acc = options_.view->get_call_acc(mem.mem.hli_item, call.hli_item);
-      }
+      const query::CallAcc acc =
+          scratch_.pairs.call_acc(mem.mem.hli_item, call.hli_item);
       if (mem.op == Opcode::Load) {
         depends = acc == query::CallAcc::Mod || acc == query::CallAcc::RefMod;
       } else {
@@ -248,48 +203,23 @@ class BlockScheduler {
     return base && irdep;
   }
 
-  /// Fills the block occupancy bitmaps and, when batching, builds the
-  /// block's conflict matrix (one class resolution per item per region,
-  /// instead of per pair) plus the local-index -> slot maps.
+  /// Fills the block occupancy bitmaps and starts the block's HLI pair
+  /// queries.
   void prepare_block() {
-    batched_ = options_.batch_queries && options_.view != nullptr;
     scratch_.mem_pos.assign(words_, 0);
     scratch_.store_pos.assign(words_, 0);
     scratch_.call_pos.assign(words_, 0);
-    if (batched_) {
-      scratch_.mem_items.clear();
-      scratch_.call_items.clear();
-    }
     for (std::size_t k = 0; k < size_; ++k) {
       const Insn& insn = insn_at(k);
       const std::uint64_t bit = std::uint64_t{1} << (k & 63);
       if (is_memory_op(insn.op)) {
         scratch_.mem_pos[k >> 6] |= bit;
         if (insn.op == Opcode::Store) scratch_.store_pos[k >> 6] |= bit;
-        if (batched_ && insn.mem.hli_item != format::kNoItem) {
-          scratch_.mem_items.push_back(insn.mem.hli_item);
-        }
       } else if (insn.op == Opcode::Call) {
         scratch_.call_pos[k >> 6] |= bit;
-        if (batched_ && insn.hli_item != format::kNoItem) {
-          scratch_.call_items.push_back(insn.hli_item);
-        }
       }
     }
-    if (!batched_) return;
-    scratch_.matrix.build(*options_.view, scratch_.mem_items,
-                          scratch_.call_items);
-    scratch_.mem_slot.assign(size_, kNoSlot);
-    scratch_.call_slot.assign(size_, kNoSlot);
-    for (std::size_t k = 0; k < size_; ++k) {
-      const Insn& insn = insn_at(k);
-      if (is_memory_op(insn.op) && insn.mem.hli_item != format::kNoItem) {
-        scratch_.mem_slot[k] = scratch_.matrix.slot_of(insn.mem.hli_item);
-      } else if (insn.op == Opcode::Call &&
-                 insn.hli_item != format::kNoItem) {
-        scratch_.call_slot[k] = scratch_.matrix.call_slot_of(insn.hli_item);
-      }
-    }
+    scratch_.pairs.prepare(func_.insns, block_.begin, block_.end);
   }
 
   /// Calls `fn(i)` for every i < j whose bit is set in `cand` and that
@@ -429,7 +359,6 @@ class BlockScheduler {
   SchedScratch& scratch_;
   std::size_t size_;
   std::size_t words_ = 0;
-  bool batched_ = false;
   std::vector<std::vector<std::size_t>> succs_;
   std::vector<unsigned> preds_;
 };
@@ -454,7 +383,7 @@ void DepStats::record_telemetry(bool hli_applied) const {
 
 DepStats schedule_function(RtlFunction& func, const SchedOptions& options) {
   DepStats stats;
-  SchedScratch scratch;  // One arena for all blocks of the function.
+  SchedScratch scratch(options);  // One arena for all blocks.
   for (const Block& block : find_blocks(func)) {
     ++stats.blocks;
     BlockScheduler scheduler(func, block, options, stats, scratch);

@@ -65,15 +65,15 @@ struct SchedOptions {
   /// the same function (the HLI is not mutated between sched1 and sched2)
   /// so repeated DDG edge tests hit precomputed answers.  Only the HLI
   /// answer is cached — the Table 2 counters are incremented per query
-  /// either way, so statistics are unaffected.  Ignored when
-  /// batch_queries is active (the matrix subsumes it).
+  /// either way, so statistics are unaffected.  Consulted only for pairs
+  /// the scalar view answers.
   query::ConflictCache* cache = nullptr;
-  /// Answer the block's HLI pair queries from one BlockConflictMatrix
-  /// built per block (single bit tests) instead of per-pair scalar
-  /// may_conflict/get_call_acc calls.  The matrix is bit-identical to the
-  /// scalar view, so the schedule — and every Table 2 counter — is
-  /// byte-identical either way; only the query cost changes.  No effect
-  /// when `view` is null.
+  /// Answer the block's HLI pair queries from one conflict matrix built
+  /// per block (single bit tests) instead of per-pair scalar
+  /// may_conflict/get_call_acc calls (HliPairs, hli_pairs.hpp).  The
+  /// answers are identical, so the schedule — and every Table 2 counter —
+  /// is byte-identical either way; only the query cost changes.  No
+  /// effect when `view` is null.
   bool batch_queries = false;
   /// Instruction latency oracle (supplied by the machine model); default
   /// unit latencies when absent.

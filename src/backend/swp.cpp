@@ -4,17 +4,11 @@
 #include <set>
 
 #include "backend/gcc_alias.hpp"
-#include "hli/batch_query.hpp"
-#include "support/telemetry.hpp"
+#include "backend/hli_pairs.hpp"
 
 namespace hli::backend {
 
 namespace {
-
-const telemetry::Counter c_batch_pairs =
-    telemetry::counter("query.batch_pairs");
-const telemetry::Counter c_batch_fallbacks =
-    telemetry::counter("query.batch_fallbacks");
 
 struct Edge {
   std::size_t from = 0;
@@ -25,6 +19,8 @@ struct Edge {
 
 struct LoopBody {
   format::RegionId region = format::kNoRegion;
+  std::size_t begin = 0;  ///< First insn after the LoopBeg note.
+  std::size_t end = 0;    ///< Index of the LoopEnd note.
   std::vector<const Insn*> insns;  ///< Schedulable body instructions.
 };
 
@@ -45,6 +41,8 @@ std::vector<LoopBody> innermost_bodies(const RtlFunction& func) {
       bool innermost = true;
       LoopBody body;
       body.region = region;
+      body.begin = beg + 1;
+      body.end = i;
       for (std::size_t k = beg + 1; k < i; ++k) {
         switch (func.insns[k].op) {
           case Opcode::LoopBeg:
@@ -86,11 +84,10 @@ Reg write_of(const Insn& insn) {
 class LoopAnalyzer {
  public:
   LoopAnalyzer(const LoopBody& body, const SwpOptions& options,
-               query::BlockConflictMatrix& matrix)
-      : body_(body), options_(options), matrix_(matrix) {}
+               HliPairs& pairs)
+      : body_(body), options_(options), pairs_(pairs) {}
 
   LoopPipelineInfo run() {
-    prepare_matrix();
     LoopPipelineInfo info;
     info.region = body_.region;
     info.body_insns = static_cast<unsigned>(body_.insns.size());
@@ -106,26 +103,6 @@ class LoopAnalyzer {
   }
 
  private:
-  static constexpr std::uint32_t kNoSlot = query::BlockConflictMatrix::kNoSlot;
-
-  /// One matrix over the body's memory items, with the loop's LCDD plane:
-  /// the intra-iteration test becomes a bit probe and the loop-carried
-  /// plane prefilters which pairs pay a scalar get_lcdd for distances.
-  void prepare_matrix() {
-    if (!options_.batch_queries || !options_.use_hli ||
-        options_.view == nullptr) {
-      return;
-    }
-    mem_items_.clear();
-    for (const Insn* insn : body_.insns) {
-      if (is_memory_op(insn->op) && insn->mem.hli_item != format::kNoItem) {
-        mem_items_.push_back(insn->mem.hli_item);
-      }
-    }
-    matrix_.build(*options_.view, mem_items_, {}, body_.region);
-    batched_ = true;
-  }
-
   [[nodiscard]] unsigned latency_of(const Insn& insn) const {
     return options_.latency ? std::max(1u, options_.latency(insn)) : 1u;
   }
@@ -180,32 +157,14 @@ class LoopAnalyzer {
         if (options_.use_hli && options_.view != nullptr &&
             bi.mem.hli_item != format::kNoItem &&
             bj.mem.hli_item != format::kNoItem) {
-          std::uint32_t sa = kNoSlot;
-          std::uint32_t sb = kNoSlot;
-          if (batched_) {
-            sa = matrix_.slot_of(bi.mem.hli_item);
-            sb = matrix_.slot_of(bj.mem.hli_item);
-            if (sa != kNoSlot && sb != kNoSlot) {
-              c_batch_pairs.add();
-            } else {
-              c_batch_fallbacks.add();
-              sa = sb = kNoSlot;
-            }
-          }
-          if (j > i) {
-            // Intra-iteration conflict in program order.
-            const bool intra =
-                sa != kNoSlot
-                    ? matrix_.conflict(sa, sb)
-                    : options_.view->may_conflict(bi.mem.hli_item,
-                                                  bj.mem.hli_item) !=
-                          query::EquivAcc::None;
-            if (intra) add_edge(i, j, latency_of(bi), 0);
-          }
-          // Loop-carried arcs with real distances from the LCDD table;
-          // the plane's emptiness bit skips the scalar call for the
-          // (typical) pairs with no carried dependence at all.
-          if (sa == kNoSlot || matrix_.loop_carried(sa, sb)) {
+          const HliPairs::MemPair pair =
+              pairs_.mem_pair(bi.mem.hli_item, bj.mem.hli_item);
+          // Intra-iteration conflict in program order.
+          if (j > i && pair.conflict()) add_edge(i, j, latency_of(bi), 0);
+          // Loop-carried arcs with real distances from the LCDD table; the
+          // emptiness answer skips the table walk for the (typical) pairs
+          // with no carried dependence at all.
+          if (pair.loop_carried()) {
             for (const auto& dep : options_.view->get_lcdd(
                      body_.region, bi.mem.hli_item, bj.mem.hli_item)) {
               if (dep.forward) {
@@ -268,9 +227,7 @@ class LoopAnalyzer {
 
   const LoopBody& body_;
   const SwpOptions& options_;
-  query::BlockConflictMatrix& matrix_;
-  bool batched_ = false;
-  std::vector<format::ItemId> mem_items_;
+  HliPairs& pairs_;
   std::vector<Edge> edges_;
 };
 
@@ -279,9 +236,11 @@ class LoopAnalyzer {
 std::vector<LoopPipelineInfo> analyze_software_pipelining(
     const RtlFunction& func, const SwpOptions& options) {
   std::vector<LoopPipelineInfo> out;
-  query::BlockConflictMatrix matrix;  // Arena shared across the loops.
+  HliPairs pairs(options.use_hli ? options.view : nullptr,
+                 true);  // Arena shared across the loops.
   for (const LoopBody& body : innermost_bodies(func)) {
-    LoopAnalyzer analyzer(body, options, matrix);
+    pairs.prepare(func.insns, body.begin, body.end, body.region);
+    LoopAnalyzer analyzer(body, options, pairs);
     out.push_back(analyzer.run());
   }
   return out;

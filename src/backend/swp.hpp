@@ -37,10 +37,6 @@ struct LoopPipelineInfo {
 struct SwpOptions {
   bool use_hli = false;
   const query::HliUnitView* view = nullptr;
-  /// Batch the body's pairwise may_conflict/LCDD-emptiness questions
-  /// into one BlockConflictMatrix per loop; the LCDD plane prefilters
-  /// which pairs pay a scalar get_lcdd call for real distances.
-  bool batch_queries = false;
   unsigned issue_width = 4;
   std::function<unsigned(const Insn&)> latency;  ///< Default: unit latency.
 };

@@ -1,8 +1,11 @@
 #include "driver/parallel.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
+#include <thread>
 
+#include "backend/parexec/pool.hpp"
 #include "support/telemetry.hpp"
 
 namespace hli::driver {
@@ -11,64 +14,15 @@ unsigned default_jobs() {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
-ThreadPool::ThreadPool(unsigned threads) {
-  const unsigned count = std::max(1u, threads);
-  workers_.reserve(count);
-  for (unsigned i = 0; i < count; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    stop_ = true;
-  }
-  work_ready_.notify_all();
-  for (std::thread& worker : workers_) worker.join();
-}
-
-void ThreadPool::submit(std::function<void()> job) {
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    queue_.push(std::move(job));
-    ++in_flight_;
-  }
-  work_ready_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  idle_.wait(lock, [this] { return in_flight_ == 0; });
-}
-
-void ThreadPool::worker_loop() {
-  for (;;) {
-    std::function<void()> job;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      work_ready_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ set and queue drained.
-      job = std::move(queue_.front());
-      queue_.pop();
-    }
-    job();
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      if (--in_flight_ == 0) idle_.notify_all();
-    }
-  }
-}
-
 void parallel_for(std::size_t count, unsigned jobs,
                   const std::function<void(std::size_t)>& task) {
   if (count == 0) return;
   if (jobs == 0) jobs = default_jobs();
-  std::vector<std::exception_ptr> errors(count);
   if (jobs <= 1 || count == 1) {
     for (std::size_t i = 0; i < count; ++i) task(i);
     return;
   }
+  std::vector<std::exception_ptr> errors(count);
   // Propagate the caller's telemetry sink across the fan-out: each task
   // records into its own CounterSet (the caller's Tracer is thread-safe
   // and shared directly), and the per-task sets merge back in task-index
@@ -78,23 +32,22 @@ void parallel_for(std::size_t count, unsigned jobs,
   telemetry::Tracer* const tracer = telemetry::current_tracer();
   std::vector<telemetry::CounterSet> task_counters(
       parent != nullptr ? count : 0);
-  {
-    ThreadPool pool(static_cast<unsigned>(
-        std::min<std::size_t>(jobs, count)));
-    for (std::size_t i = 0; i < count; ++i) {
-      pool.submit([&task, &errors, &task_counters, parent, tracer, i] {
-        const telemetry::ScopedRecorder recorder(
-            parent != nullptr ? &task_counters[i] : nullptr, tracer,
-            /*merge_to_parent=*/false);
-        try {
-          task(i);
-        } catch (...) {
-          errors[i] = std::current_exception();
-        }
-      });
+  // Every lane pulls indices from one shared counter until none is left.
+  std::atomic<std::size_t> next{0};
+  backend::parexec::WorkerPool pool(
+      static_cast<unsigned>(std::min<std::size_t>(jobs, count)));
+  pool.run([&](unsigned /*lane*/) {
+    for (std::size_t i = next.fetch_add(1); i < count; i = next.fetch_add(1)) {
+      const telemetry::ScopedRecorder recorder(
+          parent != nullptr ? &task_counters[i] : nullptr, tracer,
+          /*merge_to_parent=*/false);
+      try {
+        task(i);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
     }
-    pool.wait_idle();
-  }
+  });
   if (parent != nullptr) {
     for (const telemetry::CounterSet& counters : task_counters) {
       *parent += counters;

@@ -1,17 +1,14 @@
-// Parallel compilation driver: a minimal fixed-size thread pool (single
-// shared queue, no work stealing) and a `compile_many` front door that
-// compiles independent sources concurrently.  `compile_source` is
-// self-contained — it shares no mutable state across calls — so the
-// workload benches (`bench_table1/2 --jobs N`) and the `hlic --jobs N`
-// tool can fan every unit out to one pool and still produce byte-identical
-// results in input order.
+// Parallel compilation driver: `parallel_for` fans independent tasks out
+// over the parexec WorkerPool, and `compile_many` compiles independent
+// sources concurrently on it.  `compile_source` is self-contained — it
+// shares no mutable state across calls — so the workload benches
+// (`bench_table1/2 --jobs N`) and the `hlic --jobs N` tool can fan every
+// unit out to one pool and still produce byte-identical results in input
+// order.
 #pragma once
 
-#include <condition_variable>
 #include <functional>
-#include <mutex>
-#include <queue>
-#include <thread>
+#include <string>
 #include <vector>
 
 #include "driver/pipeline.hpp"
@@ -21,42 +18,6 @@ namespace hli::driver {
 /// Jobs to use when the caller passes 0: the hardware concurrency,
 /// clamped to at least 1.
 [[nodiscard]] unsigned default_jobs();
-
-/// Fixed-size thread pool over one mutex-guarded FIFO queue.  Deliberately
-/// work-stealing-free: compilation tasks are coarse (a whole source each),
-/// so a shared queue loses nothing and stays simple and fair.
-class ThreadPool {
- public:
-  /// Spawns `threads` workers (clamped to at least 1).
-  explicit ThreadPool(unsigned threads);
-  /// Joins all workers; pending jobs are still executed first.
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Enqueues a job.  Jobs must not throw — wrap exceptions at the
-  /// call site (compile_many/parallel_for capture std::exception_ptr).
-  void submit(std::function<void()> job);
-
-  /// Blocks until every submitted job has finished executing.
-  void wait_idle();
-
-  [[nodiscard]] unsigned thread_count() const {
-    return static_cast<unsigned>(workers_.size());
-  }
-
- private:
-  void worker_loop();
-
-  std::mutex mutex_;
-  std::condition_variable work_ready_;
-  std::condition_variable idle_;
-  std::queue<std::function<void()>> queue_;
-  std::vector<std::thread> workers_;
-  std::size_t in_flight_ = 0;  ///< Queued + currently executing jobs.
-  bool stop_ = false;
-};
 
 /// Runs `task(0) .. task(count-1)` on up to `jobs` threads (0 = hardware
 /// concurrency; 1 = inline on the calling thread, no pool).  Blocks until

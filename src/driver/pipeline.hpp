@@ -126,13 +126,16 @@ struct PipelineOptions {
   /// compilation.  hli_text/hli_bytes stay empty in this mode.
   const hli::HliStore* hli_store = nullptr;
   bool enable_cse = true;
-  /// Answer each pass's HLI pair questions from one per-block (per-loop)
-  /// BlockConflictMatrix — packed bitset planes bit-identical to the
-  /// scalar view, so optimized RTL and all Table 2 statistics are
-  /// byte-identical with this on or off; only query cost changes.  Always
-  /// on for the tools and the wire; `false` keeps the scalar per-pair
-  /// path as the test reference (BatchQueryTest, the hli-scalar-queries
-  /// fuzz leg).
+  /// Passed to CSE, LICM and both scheduling passes, which ask every HLI
+  /// pair question through one backend::HliPairs: on, each block or loop
+  /// body gets one conflict matrix whose bit tests answer its pairs
+  /// (counted in query.batch_pairs / query.batch_fallbacks); off, the
+  /// scalar view answers every pair and the scheduler's ConflictCache
+  /// memoizes it.  The answers are identical, so optimized RTL and every
+  /// pass statistic are byte-identical either way; only query cost and
+  /// the query.batch_* / sched.cache_* counters change.  Always on for
+  /// the tools and the wire; `false` keeps the scalar path as the test
+  /// reference (BatchQueryTest, the hli-scalar-queries fuzz leg).
   bool batch_queries = true;
   bool enable_constfold = true;  ///< Combine-style constant folding.
   bool enable_dce = true;  ///< Flow-style cleanup after CSE/LICM.

@@ -77,7 +77,7 @@ class Printer {
         // Parenthesize negatives: `a - -5` and subscript contexts stay
         // unambiguous without caring about the surrounding operator.
         if (lit.value < 0) {
-          out_ += "(" + std::to_string(lit.value) + ")";
+          out_.append("(").append(std::to_string(lit.value)).append(")");
         } else {
           out_ += std::to_string(lit.value);
         }
@@ -86,7 +86,7 @@ class Printer {
       case ExprKind::FloatLiteral: {
         const auto& lit = static_cast<const FloatLiteralExpr&>(e);
         if (lit.value < 0) {
-          out_ += "(" + float_token(lit.value) + ")";
+          out_.append("(").append(float_token(lit.value)).append(")");
         } else {
           out_ += float_token(lit.value);
         }
@@ -330,7 +330,7 @@ std::string print_declarator(const Type& type, const std::string& name) {
   std::string dims;
   const Type* t = &type;
   while (t->is_array()) {
-    dims += "[" + std::to_string(t->array_size()) + "]";
+    dims.append("[").append(std::to_string(t->array_size())).append("]");
     t = t->element();
   }
   std::string stars;

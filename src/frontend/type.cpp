@@ -27,7 +27,7 @@ std::string Type::to_string() const {
       const Type* elem = this;
       std::string dims;
       while (elem->is_array()) {
-        dims += "[" + std::to_string(elem->array_size()) + "]";
+        dims.append("[").append(std::to_string(elem->array_size())).append("]");
         elem = elem->element();
       }
       return elem->to_string() + dims;

@@ -279,7 +279,7 @@ class Printer {
       case ExprKind::IntLiteral: {
         const auto& lit = static_cast<const IntLiteralExpr&>(e);
         if (lit.value < 0) {
-          out_ += "(" + std::to_string(lit.value) + ")";
+          out_.append("(").append(std::to_string(lit.value)).append(")");
         } else {
           out_ += std::to_string(lit.value);
         }
@@ -288,7 +288,7 @@ class Printer {
       case ExprKind::FloatLiteral: {
         const auto& lit = static_cast<const FloatLiteralExpr&>(e);
         if (lit.value < 0) {
-          out_ += "(" + float_token(lit.value) + ")";
+          out_.append("(").append(float_token(lit.value)).append(")");
         } else {
           out_ += float_token(lit.value);
         }

@@ -22,9 +22,10 @@
 // Contract: for every pair of slotted items the matrix answer is
 // BIT-IDENTICAL to the scalar dense view (and therefore to the reference
 // oracle) — `--verify-hli`'s audit and tests/hli/batch_query_test.cpp
-// replay exhaustive pairs on all three implementations.  Consumers fall
-// back to the scalar view for items they did not slot (counted by
-// `query.batch_fallbacks`).
+// replay exhaustive pairs on all three implementations.  The back-end
+// passes reach the matrix only through backend::HliPairs
+// (backend/hli_pairs.hpp), which falls back to the scalar view for items
+// the matrix did not slot and does all of the `query.batch_*` counting.
 //
 // Staleness follows the HliEntry generation counter exactly like the
 // view: a matrix built from a view is valid until the entry is mutated;
@@ -143,11 +144,6 @@ class BlockConflictMatrix {
                                             std::uint32_t word) const {
     check_fresh();
     return conflict_[static_cast<std::size_t>(a) * words_ + word];
-  }
-  [[nodiscard]] const std::uint64_t* loop_carried_row(std::uint32_t a) const {
-    check_fresh();
-    return lcdd_.empty() ? nullptr
-                         : lcdd_.data() + static_cast<std::size_t>(a) * words_;
   }
 
  private:

@@ -12,8 +12,10 @@ namespace {
 
 const telemetry::Counter c_views_built = telemetry::counter("query.views_built");
 
-/// Largest ID referenced anywhere in the entry's tables; the dense item
-/// arrays are sized one past it so every query is a bounds-checked index.
+}  // namespace
+
+// The dense item arrays are sized one past this ID so every query is a
+// bounds-checked index.
 ItemId max_id_of(const HliEntry& entry) {
   ItemId max_id = entry.next_id;
   for (const RegionEntry& region : entry.regions) {
@@ -34,8 +36,6 @@ ItemId max_id_of(const HliEntry& entry) {
   }
   return max_id;
 }
-
-}  // namespace
 
 HliUnitView::HliUnitView(const HliEntry& entry)
     : entry_(&entry), built_generation_(entry.generation) {

@@ -54,6 +54,10 @@ struct LcddResult {
   bool forward = true;
 };
 
+/// The largest item/class ID `entry`'s tables name, and at least
+/// next_id.  An HliUnitView sizes its dense item arrays one past it.
+[[nodiscard]] ItemId max_id_of(const HliEntry& entry);
+
 class HliUnitView {
  public:
   /// Builds the index; `entry` must outlive the view.  Rebuild the view

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cstring>
+#include <limits>
 
 #include "support/string_utils.hpp"
 #include "support/telemetry.hpp"
@@ -251,6 +252,15 @@ std::uint64_t parse_num(Reader& r, std::string_view token) {
   return value;
 }
 
+/// A number that must fit the 32-bit ID and line-number fields.
+std::uint32_t parse_u32(Reader& r, std::string_view token) {
+  const std::uint64_t value = parse_num(r, token);
+  if (value > std::numeric_limits<std::uint32_t>::max()) {
+    r.fail("'" + std::string(token) + "' does not fit in 32 bits");
+  }
+  return static_cast<std::uint32_t>(value);
+}
+
 /// Parses `<tag> : id id ...` starting at tokens[at]; returns index after.
 std::size_t parse_id_list(Reader& r, const std::vector<std::string_view>& tokens,
                           std::size_t at, std::string_view tag,
@@ -264,7 +274,7 @@ std::size_t parse_id_list(Reader& r, const std::vector<std::string_view>& tokens
   while (at < tokens.size()) {
     std::uint64_t value = 0;
     if (!support::parse_u64(tokens[at], value)) break;
-    out.push_back(static_cast<ItemId>(value));
+    out.push_back(parse_u32(r, tokens[at]));
     ++at;
   }
   return at;
@@ -282,7 +292,7 @@ EquivClass parse_class(Reader& r, std::string_view line) {
   const auto tokens = support::split_ws(head);
   if (tokens.size() < 12) r.fail("malformed class line");
   EquivClass cls;
-  cls.id = static_cast<ItemId>(parse_num(r, tokens[1]));
+  cls.id = parse_u32(r, tokens[1]);
   cls.type = tokens[2] == "def" ? EquivAccType::Definite : EquivAccType::Maybe;
   if (tokens[3] != "base") r.fail("expected 'base'");
   cls.base = tokens[4] == "-" ? "" : std::string(tokens[4]);
@@ -303,16 +313,16 @@ RegionEntry parse_region_header(Reader& r, std::string_view line) {
   const auto tokens = support::split_ws(line);
   if (tokens.size() < 10) r.fail("malformed region header");
   RegionEntry region;
-  region.id = static_cast<RegionId>(parse_num(r, tokens[1]));
+  region.id = parse_u32(r, tokens[1]);
   region.type = tokens[2] == "loop" ? RegionType::Loop : RegionType::Unit;
   if (tokens[3] != "parent") r.fail("expected 'parent'");
-  region.parent = static_cast<RegionId>(parse_num(r, tokens[4]));
+  region.parent = parse_u32(r, tokens[4]);
   if (tokens[5] != "scope") r.fail("expected 'scope'");
-  region.first_line = static_cast<std::uint32_t>(parse_num(r, tokens[6]));
-  region.last_line = static_cast<std::uint32_t>(parse_num(r, tokens[7]));
+  region.first_line = parse_u32(r, tokens[6]);
+  region.last_line = parse_u32(r, tokens[7]);
   if (tokens[8] != "children" || tokens[9] != ":") r.fail("expected children list");
   for (std::size_t i = 10; i < tokens.size(); ++i) {
-    region.children.push_back(static_cast<RegionId>(parse_num(r, tokens[i])));
+    region.children.push_back(parse_u32(r, tokens[i]));
   }
   return region;
 }
@@ -330,15 +340,15 @@ void parse_region_body(Reader& r, RegionEntry& region) {
       const auto tokens = support::split_ws(r.next());
       AliasEntry alias;
       for (std::size_t i = 2; i < tokens.size(); ++i) {
-        alias.classes.push_back(static_cast<ItemId>(parse_num(r, tokens[i])));
+        alias.classes.push_back(parse_u32(r, tokens[i]));
       }
       region.aliases.push_back(std::move(alias));
     } else if (support::starts_with(line, "lcdd ")) {
       const auto tokens = support::split_ws(r.next());
       if (tokens.size() < 6) r.fail("malformed lcdd line");
       LcddEntry dep;
-      dep.src = static_cast<ItemId>(parse_num(r, tokens[1]));
-      dep.dst = static_cast<ItemId>(parse_num(r, tokens[2]));
+      dep.src = parse_u32(r, tokens[1]);
+      dep.dst = parse_u32(r, tokens[2]);
       dep.type = tokens[3] == "def" ? DepType::Definite : DepType::Maybe;
       if (tokens[4] != "dist") r.fail("expected 'dist'");
       if (tokens[5] != "?") {
@@ -353,9 +363,9 @@ void parse_region_body(Reader& r, RegionEntry& region) {
       CallEffectEntry eff;
       if (tokens[1] == "region") {
         eff.is_subregion = true;
-        eff.subregion = static_cast<RegionId>(parse_num(r, tokens[2]));
+        eff.subregion = parse_u32(r, tokens[2]);
       } else if (tokens[1] == "item") {
-        eff.call_item = static_cast<ItemId>(parse_num(r, tokens[2]));
+        eff.call_item = parse_u32(r, tokens[2]);
       } else {
         r.fail("expected 'item' or 'region'");
       }
@@ -377,18 +387,18 @@ HliEntry parse_unit(Reader& r, std::string_view header) {
   if (tokens.size() < 4 || tokens[2] != "nextid") r.fail("malformed unit header");
   HliEntry entry;
   entry.unit_name = std::string(tokens[1]);
-  entry.next_id = static_cast<ItemId>(parse_num(r, tokens[3]));
+  entry.next_id = parse_u32(r, tokens[3]);
 
   // Line table.
   while (!r.done() && support::starts_with(r.peek(), "line ")) {
     const auto line_tokens = support::split_ws(r.next());
     if (line_tokens.size() < 3 || line_tokens[2] != ":") r.fail("malformed line entry");
-    const auto source_line = static_cast<std::uint32_t>(parse_num(r, line_tokens[1]));
+    const auto source_line = parse_u32(r, line_tokens[1]);
     for (std::size_t i = 3; i < line_tokens.size(); ++i) {
       const auto parts = support::split(line_tokens[i], ':');
       if (parts.size() != 2) r.fail("malformed item token");
       ItemEntry item;
-      item.id = static_cast<ItemId>(parse_num(r, parts[0]));
+      item.id = parse_u32(r, parts[0]);
       item.type = item_type_from(parts[1], r.line_no());
       entry.line_table.add_item(source_line, item);
     }
@@ -401,7 +411,7 @@ HliEntry parse_unit(Reader& r, std::string_view header) {
     r.fail("expected regions header");
   }
   const std::uint64_t region_count = parse_num(r, regions_tokens[1]);
-  entry.root_region = static_cast<RegionId>(parse_num(r, regions_tokens[3]));
+  entry.root_region = parse_u32(r, regions_tokens[3]);
   for (std::uint64_t i = 0; i < region_count; ++i) {
     const std::string_view header_line = r.next();
     if (!support::starts_with(header_line, "region ")) r.fail("expected region");

@@ -112,11 +112,15 @@ class Verifier {
     // The reference oracle climbs raw parent links, so a parent cycle or
     // self-parent would hang it: only audit when the parent graph was
     // proven acyclic (duplicate ids / table corruption are fine — that is
-    // exactly what the audit pinpoints).
+    // exactly what the audit pinpoints).  The dense view sizes its arrays
+    // by the largest ID the tables name, so an ID past next_id (already
+    // reported above) skips the audit too: one huge ID must not turn into
+    // a huge allocation.
     if (options_.audit_on_findings && !result_.findings.empty() &&
         !result_.has(Code::RootRegionInvalid) &&
         !result_.has(Code::ParentChildMismatch) &&
-        !result_.has(Code::RegionTreeNotTree)) {
+        !result_.has(Code::RegionTreeNotTree) &&
+        query::max_id_of(entry_) == entry_.next_id) {
       audit();
     }
   }

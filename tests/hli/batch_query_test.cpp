@@ -20,6 +20,7 @@
 #include "hli/query.hpp"
 #include "hli/reference_query.hpp"
 #include "hli/serialize.hpp"
+#include "service/wire.hpp"
 #include "workloads/workloads.hpp"
 
 namespace hli {
@@ -248,9 +249,9 @@ TEST(BatchQueryTest, RtlByteIdenticalBatchingOnAndOff) {
   // The end-to-end form of the bit-identity contract: every program of
   // the suite (14 C + 3 BASIC), under the paper's Table 2 configuration
   // and the full production pipeline (all passes, regalloc, both
-  // scheduling passes), must emit byte-identical RTL with batching on
-  // and off.  The scalar path is the reference the batched one answers
-  // against.
+  // scheduling passes), must emit byte-identical RTL and statistics with
+  // batching on and off.  The scalar path is the reference the batched
+  // one answers against.
   std::vector<workloads::Workload> programs = workloads::all_workloads();
   for (const auto& workload : workloads::basic_workloads()) {
     programs.push_back(workload);
@@ -267,6 +268,11 @@ TEST(BatchQueryTest, RtlByteIdenticalBatchingOnAndOff) {
       const driver::CompiledProgram off = driver::compile_source(
           workload.source, options.with_batch_queries(false));
       ASSERT_EQ(rtl_dump(on.rtl), rtl_dump(off.rtl))
+          << workload.name << " under " << label;
+      // Counters are off, so this is ProgramStats alone: every Table 2
+      // `sched.*` field and each pass's statistics match too.
+      ASSERT_EQ(service::render_program_stats(on),
+                service::render_program_stats(off))
           << workload.name << " under " << label;
     }
   }

@@ -1,15 +1,21 @@
-// Robustness properties of the HLI reader and the dump renderer: arbitrary
-// truncations and single-line corruptions of a valid file must raise a
-// clean CompileError (never crash, never silently succeed with partial
-// region tables), and the renderer must cover every table kind.
+// Robustness properties of the HLI reader, the verifier and the dump
+// renderer: arbitrary truncations and single-line corruptions of a valid
+// file must raise a clean CompileError (never crash, never silently
+// succeed with partial region tables), a huge ID must be reported rather
+// than allocated for, and the renderer must cover every table kind.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <string_view>
 
+#include "driver/pipeline.hpp"
 #include "hli/dump.hpp"
 #include "support/string_utils.hpp"
 #include "hli/serialize.hpp"
+#include "hli/verify.hpp"
 #include "hli_test_util.hpp"
+#include "workloads/workloads.hpp"
 
 namespace hli {
 namespace {
@@ -86,8 +92,56 @@ TEST(ReaderRobustnessTest, NumbersReplacedByJunkFail) {
   std::string bad = valid_text();
   const std::size_t pos = bad.find("nextid ");
   ASSERT_NE(pos, std::string::npos);
-  bad.replace(pos + 7, 1, "x");
+  bad[pos + 7] = 'x';
   EXPECT_THROW((void)serialize::read_hli(bad), support::CompileError);
+}
+
+/// apsi's text HLI with the first `from` replaced by `to`.
+std::string apsi_with(std::string_view from, std::string_view to) {
+  const workloads::Workload* apsi = workloads::find_workload("141.apsi");
+  EXPECT_NE(apsi, nullptr);
+  std::string text =
+      driver::compile_source(apsi->source, driver::PipelineOptions{}).hli_text;
+  const std::size_t pos = text.find(from);
+  EXPECT_NE(pos, std::string::npos) << from;
+  text.replace(pos, from.size(), to);
+  return text;
+}
+
+TEST(ReaderRobustnessTest, IdPastThirtyTwoBitsFailsWithLineNumber) {
+  // A syntactically valid class line whose ID does not fit format::ItemId
+  // used to be truncated silently and then size the views' arrays.
+  const std::string bad =
+      apsi_with("\nclass 25 def", "\nclass 9223372036854775807 def");
+  const std::size_t at = bad.find("class 9223372036854775807");
+  const auto line = 1 + std::count(bad.begin(), bad.begin() + at, '\n');
+  try {
+    (void)serialize::read_hli(bad);
+    FAIL() << "64-bit class ID accepted";
+  } catch (const support::CompileError& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("at line " + std::to_string(line) + ":"),
+              std::string::npos)
+        << message;
+    EXPECT_NE(message.find("does not fit in 32 bits"), std::string::npos)
+        << message;
+  }
+}
+
+TEST(VerifierRobustnessTest, HugeCallItemIsReportedNotAudited) {
+  // The ID fits 32 bits, so the file parses; the verifier reports it, and
+  // its differential audit must not then size a view by it (that used to
+  // end in std::bad_alloc).
+  const format::HliFile file = serialize::read_hli(
+      apsi_with("calleff item 18 unk", "calleff item 2147483648 unk"));
+  verify::VerifyOptions options;
+  options.audit_on_findings = true;
+  std::string report;
+  const verify::VerifyResult result =
+      verify::verify_file(file, options, &report);
+  EXPECT_FALSE(result.ok());
+  EXPECT_TRUE(result.has(verify::Code::CallEffectItemNotCall)) << report;
+  EXPECT_NE(report.find("item=2147483648"), std::string::npos) << report;
 }
 
 TEST(DumpTest, RendersEveryTableKind) {

@@ -69,10 +69,11 @@ TEST(CompileCacheTest, CacheSizeOneThrashes) {
   CompileCache cache(1, 8);
   for (std::uint64_t i = 0; i < 100; ++i) {
     EXPECT_EQ(cache.lookup(key_of(i)), nullptr);
-    cache.insert(key_of(i), unit_named("u" + std::to_string(i)));
+    const std::string name = std::string("u").append(std::to_string(i));
+    cache.insert(key_of(i), unit_named(name));
     const auto hit = cache.lookup(key_of(i));
     ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(hit->rtl.name, "u" + std::to_string(i));
+    EXPECT_EQ(hit->rtl.name, name);
     EXPECT_EQ(cache.size(), 1u);
   }
   EXPECT_EQ(cache.evictions(), 99u);

@@ -161,6 +161,33 @@ TEST(HlicCliTest, VerifyRejectsInvariantViolation) {
       << result.output;
 }
 
+TEST(HlicCliTest, VerifyRejectsHugeIdsWithoutAborting) {
+  // Two one-number edits of apsi's text HLI that used to end in an
+  // uncaught std::bad_alloc (exit 134): an ID past 32 bits, and a 32-bit
+  // call item far past next_id.
+  const RunResult dump = run_hlic_stdout("--dump-hli 141.apsi");
+  ASSERT_EQ(dump.exit_code, 0);
+  struct Edit {
+    std::string from, to, diagnostic;
+  };
+  const Edit edits[] = {
+      {"\nclass 25 def", "\nclass 9223372036854775807 def",
+       "does not fit in 32 bits"},
+      {"calleff item 18 unk", "calleff item 2147483648 unk",
+       "calleff-item-not-call"}};
+  for (const auto& [from, to, diagnostic] : edits) {
+    std::string text = dump.output;
+    const std::size_t pos = text.find(from);
+    ASSERT_NE(pos, std::string::npos) << from;
+    text.replace(pos, from.size(), to);
+    const RunResult result =
+        run_hlic("--verify " + write_temp("huge_id.hli", text));
+    EXPECT_EQ(result.exit_code, 1) << to << "\n" << result.output;
+    EXPECT_NE(result.output.find(diagnostic), std::string::npos)
+        << result.output;
+  }
+}
+
 // --- HLIB binary containers through the same lint mode ---
 
 std::string build_hlib_bytes() {
