@@ -105,7 +105,7 @@ stage_asan() {
 
 stage_parexec() {
   cmake -B build "${GENERATOR[@]}" -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  cmake --build build -j "$JOBS" --target hlic
+  cmake --build build -j "$JOBS" --target hlic parexec_tests
   # Byte-identity gate: `--run` stdout (return value, output hash, emit
   # count, dynamic insns) must match a serial run exactly on every
   # workload at 2, 3 and 4 lanes; the parexec summary goes to stderr by
@@ -121,12 +121,15 @@ stage_parexec() {
       cmp "build/RUN_serial_$w.txt" "build/RUN_par${n}_$w.txt"
     done
   done
-  # Non-vacuousness: the grids must actually dispatch, and the DOACROSS
-  # post-wait path must run (elided syncs only tick on ordered dispatch).
+  # Non-vacuousness: the grids must actually dispatch at default options
+  # (the cost model predicts their win), and the DOACROSS post-wait path
+  # must run.  The model declines every DOACROSS(1) plan of the suite, so
+  # the post-wait witness is a DOACROSS(3) loop forced onto the pool at
+  # 2, 3 and 4 lanes, byte-identical to serial.
   ./build/tools/hlic 102.swim --run --exec-threads=4 2>&1 >/dev/null \
     | grep -E 'parexec: loops [1-9]'
-  ./build/tools/hlic 141.apsi --run --exec-threads=4 2>&1 >/dev/null \
-    | grep -E 'elided [1-9]'
+  ./build/tests/backend/parexec_tests \
+    --gtest_filter='ParexecEndToEndTest.DoacrossPostWaitPreservesRecurrence'
 }
 
 stage_tsan() {
@@ -141,9 +144,9 @@ stage_tsan() {
   # one server.
   TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/service/service_tests \
     --gtest_filter='StoreSharing*:*Concurrent*'
-  # Parallel loop runtime under TSan: the pool/post-wait unit suite plus
-  # a threaded end-to-end subset (DOALL-heavy grids + the DOACROSS
-  # post-wait workload).
+  # Parallel loop runtime under TSan: the pool/post-wait unit suite (its
+  # DOACROSS and trap-parity tests force dispatch past the cost model)
+  # plus a threaded end-to-end subset of the suite.
   TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/backend/parexec_tests
   for w in 102.swim 101.tomcatv 141.apsi; do
     TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tools/hlic "$w" --run \

@@ -600,7 +600,7 @@ DiffResult run_differential(const std::string& source,
         serial.max_insns = max_insns;
         backend::InterpOptions threaded = serial;
         threaded.exec_threads = 4;
-        threaded.min_par_insns = 0;  // Dispatch even tiny generated loops.
+        threaded.force_dispatch = true;  // Dispatch even tiny generated loops.
         const backend::RunResult s =
             backend::run_program(compiled.rtl, "main", nullptr, serial);
         const backend::RunResult t =

@@ -55,7 +55,7 @@ struct DiffConfig {
   /// with the DOALL/DOACROSS claims in CompiledProgram::loop_reports
   /// (skipped when a defect is planted — corrupted RTL voids the claims).
   bool analyze_leg = false;
-  /// Re-run the compiled program on 4 execution lanes (min_par_insns=0 so
+  /// Re-run the compiled program on 4 execution lanes (force_dispatch so
   /// even tiny generated loops dispatch) and require the FULL RunResult —
   /// trap behavior, return value, output hash, emit count, AND
   /// dynamic_insns — to match the serial run: the parallel runtime's

@@ -76,7 +76,8 @@ std::string surface_row(const workloads::Workload& workload) {
       << " chunks=" << p.chunks << " iterations=" << p.par_iterations
       << " par_insns=" << p.par_insns << " ordered=" << p.ordered_insns
       << " waits=" << p.sync_waits << " elided=" << p.sync_elided
-      << " fallbacks=" << p.serial_fallbacks;
+      << " fallbacks=" << p.serial_fallbacks
+      << " cost_declines=" << p.cost_declines;
   return row.str();
 }
 

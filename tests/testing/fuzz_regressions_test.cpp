@@ -181,7 +181,7 @@ TEST(FuzzRegressionTest, AuditSeedsStayClean) {
 // Threaded-execution legs (hli-exec-threads / nohli-exec-threads): a
 // 400-iteration sweep at their introduction found no divergent seeds.
 // These loop-feature seeds are pinned because their planned loops
-// actually DISPATCH under the legs' min_par_insns=0 (each shows multiple
+// actually DISPATCH under the legs' force_dispatch (each shows multiple
 // planned-loop invocations), so a determinism regression in the parallel
 // runtime — reduction reassociation, post-wait ordering, budget drift —
 // cannot vacuously pass by falling back to serial.

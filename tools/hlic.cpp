@@ -262,14 +262,16 @@ int emit(const CliOptions& options, const driver::CompiledProgram& compiled) {
       const backend::ParexecStats& p = result.parexec;
       std::fprintf(stderr,
                    "parexec: loops %llu invocations %llu chunks %llu "
-                   "iterations %llu waits %llu elided %llu fallbacks %llu\n",
+                   "iterations %llu waits %llu elided %llu fallbacks %llu "
+                   "cost-declined %llu\n",
                    static_cast<unsigned long long>(p.loops_parallelized),
                    static_cast<unsigned long long>(p.invocations),
                    static_cast<unsigned long long>(p.chunks),
                    static_cast<unsigned long long>(p.par_iterations),
                    static_cast<unsigned long long>(p.sync_waits),
                    static_cast<unsigned long long>(p.sync_elided),
-                   static_cast<unsigned long long>(p.serial_fallbacks));
+                   static_cast<unsigned long long>(p.serial_fallbacks),
+                   static_cast<unsigned long long>(p.cost_declines));
     }
   }
   if (!options.simulate.empty()) {
