@@ -47,10 +47,10 @@ class WorkerPool {
   /// lane 0.  Rethrows the first job exception after all lanes finish.
   void run(const std::function<void(unsigned)>& job);
 
- private:
   /// How long a waiter spins before it parks.
   static constexpr std::chrono::microseconds kSpin{50};
 
+ private:
   void worker_main(unsigned lane);
   void capture(const std::exception& e);
   /// Spins on `ready` for up to kSpin, then parks on `cv` until it holds.
