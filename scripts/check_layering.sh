@@ -38,3 +38,30 @@ if [[ -n "$violations" ]]; then
   exit 1
 fi
 echo "layering: ok (only the contract and testgen headers cross the waist)"
+
+# One implementation of the RTL operand facts: which registers an
+# instruction reads and which one it defines are decided only in
+# src/backend/rtl.{hpp,cpp}.  A function named reads_of, write_of, def_of
+# or for_each_read declared or defined anywhere else in src/ or tools/ is
+# a private copy of that decision and fails here with its file:line.
+# (A definition line starts with its return type; calls and `return`
+# statements do not match.)
+operand_name='(reads_of|write_of|def_of|for_each_read)'
+operand_def="^[[:space:]]*(template[[:space:]]*<[^>]*>[[:space:]]*)?([][[:alnum:]_:<>*&]+[[:space:]]+)+${operand_name}[[:space:]]*\\("
+
+copies=$(
+  grep -rnE "$operand_def" \
+      --include='*.hpp' --include='*.cpp' --include='*.h' --include='*.cc' \
+      src tools \
+    | grep -vE '^src/backend/rtl\.(hpp|cpp):' \
+    | grep -vE '^[^:]+:[0-9]+:[[:space:]]*(return|else)[[:space:]]' \
+    || true
+)
+
+if [[ -n "$copies" ]]; then
+  echo "layering: RTL operand facts defined outside src/backend/rtl.{hpp,cpp}" >&2
+  echo "(use backend::for_each_read / backend::def_of instead of a copy)" >&2
+  echo "$copies" >&2
+  exit 1
+fi
+echo "layering: ok (RTL operand facts live only in src/backend/rtl.{hpp,cpp})"

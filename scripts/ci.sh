@@ -73,7 +73,7 @@ stage_release() {
 stage_fuzz() {
   cmake -B build "${GENERATOR[@]}" -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build -j "$JOBS" --target hlifuzz
-  # Bounded differential smoke: fixed seed range, full 14-config matrix,
+  # Bounded differential smoke: fixed seed range, full 22-config matrix,
   # fails on any divergence.  ~10s; a CI failure reproduces locally with
   # the printed seed alone.
   ./build/tools/hlifuzz --seed 1 --iterations 200 --quiet \

@@ -69,22 +69,18 @@ void scan_recurrences(const FunctionModel& model, const LoopShape& loop,
     std::uint32_t min_read = UINT32_MAX;
   };
   std::map<backend::Reg, RegInfo> regs;
-  std::vector<backend::Reg> reads;
   for (std::size_t p = loop.beg + 1; p < loop.end; ++p) {
     const Insn& insn = model.func().insns[p];
-    const backend::Reg rd = def_of(insn);
+    const auto pos = static_cast<std::uint32_t>(p);
+    const backend::Reg rd = backend::def_of(insn);
     if (rd != backend::kNoReg) {
       auto& info = regs[rd];
-      info.min_def =
-          std::min(info.min_def, static_cast<std::uint32_t>(p));
+      info.min_def = std::min(info.min_def, pos);
     }
-    reads.clear();
-    reads_of(insn, reads);
-    for (const backend::Reg r : reads) {
+    backend::for_each_read(insn, [&](backend::Reg r) {
       auto& info = regs[r];
-      info.min_read =
-          std::min(info.min_read, static_cast<std::uint32_t>(p));
-    }
+      info.min_read = std::min(info.min_read, pos);
+    });
   }
   for (const auto& [reg, info] : regs) {
     if (info.min_def == UINT32_MAX || info.min_read == UINT32_MAX) continue;

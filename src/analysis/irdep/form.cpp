@@ -8,6 +8,7 @@ namespace hli::irdep {
 
 namespace {
 
+using backend::def_of;
 using backend::Insn;
 using backend::kNoReg;
 using backend::Opcode;
@@ -240,59 +241,6 @@ class Expander {
 
 }  // namespace
 
-Reg def_of(const Insn& insn) {
-  switch (insn.op) {
-    case Opcode::Store:
-    case Opcode::Label:
-    case Opcode::Jump:
-    case Opcode::BranchZ:
-    case Opcode::BranchNZ:
-    case Opcode::Return:
-    case Opcode::LoopBeg:
-    case Opcode::LoopEnd:
-      return kNoReg;
-    default:
-      return insn.rd;
-  }
-}
-
-void reads_of(const Insn& insn, std::vector<Reg>& out) {
-  auto add = [&out](Reg r) {
-    if (r != kNoReg) out.push_back(r);
-  };
-  switch (insn.op) {
-    case Opcode::LoadImm:
-    case Opcode::LoadAddr:
-    case Opcode::Label:
-    case Opcode::Jump:
-    case Opcode::LoopBeg:
-    case Opcode::LoopEnd:
-      return;
-    case Opcode::Call:
-      for (const Reg r : insn.args) add(r);
-      return;
-    case Opcode::Store:
-      add(insn.rs1);
-      add(insn.rs2);
-      return;
-    case Opcode::Move:
-    case Opcode::Neg:
-    case Opcode::Not:
-    case Opcode::IntToFp:
-    case Opcode::FpToInt:
-    case Opcode::Load:
-    case Opcode::BranchZ:
-    case Opcode::BranchNZ:
-    case Opcode::Return:
-      add(insn.rs1);
-      return;
-    default:  // Two-operand arithmetic and comparisons.
-      add(insn.rs1);
-      add(insn.rs2);
-      return;
-  }
-}
-
 FunctionModel::FunctionModel(const backend::RtlProgram& prog,
                              const backend::RtlFunction& func)
     : prog_(&prog), func_(&func) {
@@ -467,74 +415,19 @@ const LinearForm& FunctionModel::address_form(std::size_t pos) {
 }
 
 void FunctionModel::build_loops() {
-  std::vector<std::size_t> stack;
-  for (std::size_t pos = 0; pos < func_->insns.size(); ++pos) {
-    const Opcode op = func_->insns[pos].op;
-    if (op == Opcode::LoopBeg) {
-      stack.push_back(loops_.size());
-      LoopShape shape;
-      shape.beg = static_cast<std::uint32_t>(pos);
-      shape.innermost = true;
-      loops_.push_back(shape);
-    } else if (op == Opcode::LoopEnd && !stack.empty()) {
-      LoopShape& loop = loops_[stack.back()];
-      stack.pop_back();
-      loop.end = static_cast<std::uint32_t>(pos);
-      if (!stack.empty()) loops_[stack.back()].innermost = false;
-    }
-  }
-  // Drop unmatched LoopBegs (never produced by lowering; be safe).
-  loops_.erase(std::remove_if(loops_.begin(), loops_.end(),
-                              [](const LoopShape& l) { return l.end == 0; }),
-               loops_.end());
+  const std::vector<backend::LoopSpan> spans = backend::loop_spans(*func_);
+  loops_.reserve(spans.size());
+  for (const backend::LoopSpan& span : spans) {
+    LoopShape& loop = loops_.emplace_back();
+    loop.beg = static_cast<std::uint32_t>(span.beg);
+    loop.end = static_cast<std::uint32_t>(span.end);
+    loop.innermost = span.innermost;
 
-  for (LoopShape& loop : loops_) {
-    if (!loop.innermost) continue;
     const Insn& beg = func_->insns[loop.beg];
     if (beg.induction == kNoReg) continue;
-
-    // Canonical shape: Label top right after LoopBeg; one conditional
-    // branch to the end label; a single Label (cont) between that branch
-    // and the unique backedge Jump; no other control flow in between;
-    // Label end directly before LoopEnd.
-    if (loop.beg + 1 >= loop.end) continue;
-    const Insn& top = func_->insns[loop.beg + 1];
-    const Insn& endlab = func_->insns[loop.end - 1];
-    if (top.op != Opcode::Label || endlab.op != Opcode::Label) continue;
-
-    std::size_t exit_branch = 0;
-    for (std::size_t p = loop.beg + 2; p < loop.end - 1; ++p) {
-      const Insn& insn = func_->insns[p];
-      if (insn.op == Opcode::Label || backend::is_branch(insn.op)) {
-        if ((insn.op == Opcode::BranchZ || insn.op == Opcode::BranchNZ) &&
-            insn.label == endlab.label) {
-          exit_branch = p;
-        }
-        break;
-      }
-    }
-    if (exit_branch == 0) continue;
-
-    std::size_t cont_label = 0;
-    std::size_t backedge = 0;
-    bool clean = true;
-    for (std::size_t p = exit_branch + 1; p < loop.end - 1 && clean; ++p) {
-      const Insn& insn = func_->insns[p];
-      if (insn.op == Opcode::Label) {
-        if (cont_label != 0) clean = false;
-        cont_label = p;
-      } else if (insn.op == Opcode::Jump) {
-        if (insn.label == top.label && p + 1 == loop.end - 1 &&
-            cont_label != 0) {
-          backedge = p;
-        } else {
-          clean = false;
-        }
-      } else if (backend::is_branch(insn.op)) {
-        clean = false;
-      }
-    }
-    if (!clean || backedge == 0 || cont_label < exit_branch) continue;
+    const std::optional<backend::CountedLoop> skeleton =
+        backend::match_counted_loop(*func_, span);
+    if (!skeleton) continue;
 
     // The induction register must have exactly one definition inside the
     // loop, in the step region, and its value form must be iv + step
@@ -548,7 +441,8 @@ void FunctionModel::build_loops() {
         step_def = d;
       }
     }
-    if (in_loop_defs != 1 || step_def <= cont_label || step_def >= backedge) {
+    if (in_loop_defs != 1 || step_def <= skeleton->cont ||
+        step_def >= skeleton->backedge) {
       continue;
     }
     const LinearForm step = value_form(step_def);
@@ -567,8 +461,8 @@ void FunctionModel::build_loops() {
     if (!iv_reads_ok) continue;
 
     loop.canonical = true;
-    loop.body_begin = static_cast<std::uint32_t>(exit_branch + 1);
-    loop.body_end = static_cast<std::uint32_t>(cont_label);
+    loop.body_begin = static_cast<std::uint32_t>(skeleton->exit_branch + 1);
+    loop.body_end = static_cast<std::uint32_t>(skeleton->cont);
     loop.step_def = step_def;
     loop.induction = iv;
     loop.step = beg.loop_step;

@@ -184,9 +184,4 @@ class FunctionModel {
   std::vector<std::unique_ptr<LinearForm>> forms_;
 };
 
-/// Register written by `insn` (kNoReg when none).
-[[nodiscard]] backend::Reg def_of(const backend::Insn& insn);
-/// Registers read by `insn`, appended to `out`.
-void reads_of(const backend::Insn& insn, std::vector<backend::Reg>& out);
-
 }  // namespace hli::irdep

@@ -33,22 +33,18 @@ class BlockFolder {
   void boundary() { known_.clear(); }
 
   void visit(Insn& insn) {
+    if (is_control(insn.op)) {
+      // A known branch condition could retarget control flow; resolving
+      // it means rewriting to Jump or deleting — count the opportunity but
+      // keep the branch (jump threading is out of scope).
+      if ((insn.op == Opcode::BranchZ || insn.op == Opcode::BranchNZ) &&
+          lookup(insn.rs1)) {
+        ++stats_.branches_resolved;
+      }
+      boundary();
+      return;
+    }
     switch (insn.op) {
-      case Opcode::Label:
-      case Opcode::Jump:
-      case Opcode::Return:
-      case Opcode::LoopBeg:
-      case Opcode::LoopEnd:
-        boundary();
-        return;
-      case Opcode::BranchZ:
-      case Opcode::BranchNZ:
-        // A known condition could retarget control flow; resolving it
-        // means rewriting to Jump or deleting — count the opportunity but
-        // keep the branch (jump threading is out of scope).
-        if (lookup(insn.rs1)) ++stats_.branches_resolved;
-        boundary();
-        return;
       case Opcode::LoadImm:
         record(insn);
         return;

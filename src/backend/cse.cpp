@@ -33,21 +33,6 @@ void CseStats::record_telemetry() const {
 
 namespace {
 
-[[nodiscard]] bool block_boundary(const Insn& insn) {
-  switch (insn.op) {
-    case Opcode::Label:
-    case Opcode::Jump:
-    case Opcode::BranchZ:
-    case Opcode::BranchNZ:
-    case Opcode::Return:
-    case Opcode::LoopBeg:
-    case Opcode::LoopEnd:
-      return true;
-    default:
-      return false;
-  }
-}
-
 /// Is this opcode a pure value computation safe to reuse?
 [[nodiscard]] bool pure_value_op(Opcode op) {
   switch (op) {
@@ -294,12 +279,12 @@ CseStats cse_function(RtlFunction& func, const CseOptions& options) {
                  options.batch_queries);  // One arena for all blocks.
   std::size_t at = 0;
   while (at < func.insns.size()) {
-    if (block_boundary(func.insns[at])) {
+    if (is_control(func.insns[at].op)) {
       ++at;
       continue;
     }
     std::size_t end = at;
-    while (end < func.insns.size() && !block_boundary(func.insns[end])) ++end;
+    while (end < func.insns.size() && !is_control(func.insns[end].op)) ++end;
     BlockCse cse(func, at, end, options, stats, pairs);
     cse.run();
     at = end;

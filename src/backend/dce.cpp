@@ -22,20 +22,8 @@ namespace {
 
 /// Instructions with effects beyond their register result.
 bool always_live(const Insn& insn) {
-  switch (insn.op) {
-    case Opcode::Store:
-    case Opcode::Call:
-    case Opcode::Label:
-    case Opcode::Jump:
-    case Opcode::BranchZ:
-    case Opcode::BranchNZ:
-    case Opcode::Return:
-    case Opcode::LoopBeg:
-    case Opcode::LoopEnd:
-      return true;
-    default:
-      return false;
-  }
+  return insn.op == Opcode::Store || insn.op == Opcode::Call ||
+         is_control(insn.op);
 }
 
 }  // namespace
@@ -52,9 +40,7 @@ DceStats dce_function(RtlFunction& func, const DceOptions& options) {
       if (r != kNoReg) ++uses[static_cast<std::size_t>(r)];
     };
     for (const Insn& insn : func.insns) {
-      count(insn.rs1);
-      count(insn.rs2);
-      for (const Reg r : insn.args) count(r);
+      for_each_read(insn, count);
       if (insn.op == Opcode::LoopBeg) count(insn.induction);
     }
     // Parameters stay observable (the interpreter binds into them).

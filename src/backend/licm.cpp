@@ -30,37 +30,6 @@ void LicmStats::record_telemetry() const {
 
 namespace {
 
-struct Loop {
-  std::size_t beg = 0;  ///< Index of the LoopBeg note.
-  std::size_t end = 0;  ///< Index of the LoopEnd note.
-  bool innermost = true;
-};
-
-std::vector<Loop> find_innermost_loops(const RtlFunction& func) {
-  std::vector<Loop> out;
-  std::vector<std::size_t> stack;
-  for (std::size_t i = 0; i < func.insns.size(); ++i) {
-    if (func.insns[i].op == Opcode::LoopBeg) {
-      stack.push_back(i);
-    } else if (func.insns[i].op == Opcode::LoopEnd && !stack.empty()) {
-      Loop loop;
-      loop.beg = stack.back();
-      loop.end = i;
-      stack.pop_back();
-      // A loop is innermost iff no other LoopBeg between beg and end.
-      loop.innermost = true;
-      for (std::size_t k = loop.beg + 1; k < loop.end; ++k) {
-        if (func.insns[k].op == Opcode::LoopBeg) {
-          loop.innermost = false;
-          break;
-        }
-      }
-      if (loop.innermost) out.push_back(loop);
-    }
-  }
-  return out;
-}
-
 [[nodiscard]] bool hoistable_pure(Opcode op) {
   switch (op) {
     case Opcode::LoadImm:
@@ -83,7 +52,7 @@ std::vector<Loop> find_innermost_loops(const RtlFunction& func) {
 
 class LoopLicm {
  public:
-  LoopLicm(RtlFunction& func, const Loop& loop, const LicmOptions& options,
+  LoopLicm(RtlFunction& func, const LoopSpan& loop, const LicmOptions& options,
            LicmStats& stats, HliPairs& pairs)
       : func_(func), loop_(loop), options_(options), stats_(stats),
         pairs_(pairs) {}
@@ -131,18 +100,17 @@ class LoopLicm {
 
   void collect_defs() {
     for (std::size_t i = loop_.beg + 1; i < loop_.end; ++i) {
-      const Reg rd = func_.insns[i].op == Opcode::Store ? kNoReg
-                                                        : func_.insns[i].rd;
+      const Reg rd = def_of(func_.insns[i]);
       if (rd != kNoReg) defs_in_loop_.insert(rd);
     }
   }
 
   [[nodiscard]] bool invariant_inputs(const Insn& insn) const {
-    const Reg srcs[2] = {insn.rs1, insn.rs2};
-    for (const Reg r : srcs) {
-      if (r != kNoReg && defs_in_loop_.contains(r)) return false;
-    }
-    return true;
+    bool invariant = true;
+    for_each_read(insn, [&](Reg r) {
+      if (defs_in_loop_.contains(r)) invariant = false;
+    });
+    return invariant;
   }
 
   /// The register must be defined exactly once in the loop (our lowering's
@@ -151,17 +119,13 @@ class LoopLicm {
     if (rd == kNoReg) return false;
     std::size_t defs = 0;
     for (std::size_t i = loop_.beg + 1; i < loop_.end; ++i) {
-      const Insn& insn = func_.insns[i];
-      const Reg w = insn.op == Opcode::Store ? kNoReg : insn.rd;
-      if (w == rd) ++defs;
+      if (def_of(func_.insns[i]) == rd) ++defs;
     }
     // Also reject registers defined anywhere outside the loop: hoisting
     // would then clobber the outer value early.
     for (std::size_t i = 0; i < func_.insns.size(); ++i) {
       if (i > loop_.beg && i < loop_.end) continue;
-      const Insn& insn = func_.insns[i];
-      const Reg w = insn.op == Opcode::Store ? kNoReg : insn.rd;
-      if (w == rd) return false;
+      if (def_of(func_.insns[i]) == rd) return false;
     }
     return defs == 1;
   }
@@ -241,7 +205,7 @@ class LoopLicm {
   }
 
   RtlFunction& func_;
-  const Loop& loop_;
+  const LoopSpan& loop_;
   const LicmOptions& options_;
   LicmStats& stats_;
   HliPairs& pairs_;
@@ -261,7 +225,8 @@ LicmStats licm_function(RtlFunction& func, const LicmOptions& options) {
   std::set<format::RegionId> processed;
   while (changed) {
     changed = false;
-    for (const Loop& loop : find_innermost_loops(func)) {
+    for (const LoopSpan& loop : loop_spans(func)) {
+      if (!loop.innermost) continue;
       const format::RegionId region = func.insns[loop.beg].loop_region;
       if (processed.contains(region)) continue;
       processed.insert(region);

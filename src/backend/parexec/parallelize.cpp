@@ -153,22 +153,19 @@ Rejection plan_loop(const irdep::ProgramDepInfo& prog, FunctionDepInfo& fdi,
     std::uint32_t reads = 0;
   };
   std::map<Reg, RegInfo> reg_info;
-  std::vector<Reg> reads;
   for (std::uint32_t p = loop.beg + 1; p < loop.end; ++p) {
     const Insn& insn = func.insns[p];
-    const Reg rd = irdep::def_of(insn);
+    const Reg rd = def_of(insn);
     if (rd != kNoReg) {
       auto& info = reg_info[rd];
       info.min_def = std::min(info.min_def, p);
       ++info.defs;
     }
-    reads.clear();
-    irdep::reads_of(insn, reads);
-    for (const Reg r : reads) {
+    for_each_read(insn, [&](Reg r) {
       auto& info = reg_info[r];
       info.min_read = std::min(info.min_read, p);
       ++info.reads;
-    }
+    });
   }
   for (const auto& [reg, info] : reg_info) {
     if (info.min_def == UINT32_MAX || info.min_read == UINT32_MAX) continue;

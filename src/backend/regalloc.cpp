@@ -1,7 +1,6 @@
 #include "backend/regalloc.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <set>
 #include <vector>
 
@@ -37,18 +36,6 @@ struct Interval {
   bool spilled = false;
   std::int64_t slot = -1;    ///< Frame slot when spilled.
 };
-
-void for_each_read(const Insn& insn, const std::function<void(Reg)>& fn) {
-  if (insn.rs1 != kNoReg) fn(insn.rs1);
-  if (insn.rs2 != kNoReg) fn(insn.rs2);
-  if (insn.op == Opcode::Call) {
-    for (const Reg r : insn.args) fn(r);
-  }
-}
-
-Reg def_of(const Insn& insn) {
-  return insn.op == Opcode::Store ? kNoReg : insn.rd;
-}
 
 /// Does the DEFINED VALUE live in the float domain?  Not the same as
 /// Insn::is_float: comparisons of floats produce an integer 0/1, and
@@ -139,15 +126,6 @@ class LinearScan {
   /// A register upward-exposed in a loop (read before any in-loop def) is
   /// live around the back edge: its interval must cover the whole loop.
   void extend_over_loops() {
-    std::vector<std::pair<std::size_t, std::size_t>> loops;
-    std::vector<std::size_t> stack;
-    for (std::size_t i = 0; i < func_.insns.size(); ++i) {
-      if (func_.insns[i].op == Opcode::LoopBeg) stack.push_back(i);
-      if (func_.insns[i].op == Opcode::LoopEnd && !stack.empty()) {
-        loops.emplace_back(stack.back(), i);
-        stack.pop_back();
-      }
-    }
     // Label positions, to distinguish intra-loop forward branches (if /
     // else / short-circuit shapes) from the loop's own exit branch.
     std::vector<std::size_t> label_pos;
@@ -161,7 +139,9 @@ class LinearScan {
 
     const auto n = static_cast<std::size_t>(func_.num_regs);
     std::vector<bool> defined(n);
-    for (const auto& [beg, end] : loops) {
+    for (const LoopSpan& loop : loop_spans(func_)) {
+      const std::size_t beg = loop.beg;
+      const std::size_t end = loop.end;
       std::fill(defined.begin(), defined.end(), false);
       // Open conditional scopes: targets of passed forward branches that
       // lie inside the loop.  A definition under such a scope may be

@@ -106,4 +106,66 @@ std::string to_string(const RtlFunction& func) {
   return std::move(out).str();
 }
 
+std::vector<LoopSpan> loop_spans(const RtlFunction& func) {
+  std::vector<LoopSpan> spans;
+  std::vector<std::size_t> open;  // Indices into `spans`.
+  for (std::size_t pos = 0; pos < func.insns.size(); ++pos) {
+    const Opcode op = func.insns[pos].op;
+    if (op == Opcode::LoopBeg) {
+      if (!open.empty()) spans[open.back()].innermost = false;
+      open.push_back(spans.size());
+      spans.push_back({pos, 0, true});
+    } else if (op == Opcode::LoopEnd && !open.empty()) {
+      spans[open.back()].end = pos;
+      open.pop_back();
+    }
+  }
+  std::erase_if(spans, [](const LoopSpan& s) { return s.end == 0; });
+  return spans;
+}
+
+std::optional<CountedLoop> match_counted_loop(const RtlFunction& func,
+                                              const LoopSpan& span) {
+  const std::vector<Insn>& insns = func.insns;
+  if (!span.innermost || span.beg + 1 >= span.end) return std::nullopt;
+  CountedLoop loop;
+  loop.top = span.beg + 1;
+  loop.end_label = span.end - 1;
+  const Insn& top = insns[loop.top];
+  const Insn& end_label = insns[loop.end_label];
+  if (top.op != Opcode::Label || end_label.op != Opcode::Label) {
+    return std::nullopt;
+  }
+  // The condition is straight-line up to the exit branch.
+  for (std::size_t p = loop.top + 1; p < loop.end_label; ++p) {
+    const Insn& insn = insns[p];
+    if (insn.op == Opcode::Label || is_branch(insn.op)) {
+      if ((insn.op == Opcode::BranchZ || insn.op == Opcode::BranchNZ) &&
+          insn.label == end_label.label) {
+        loop.exit_branch = p;
+      }
+      break;
+    }
+  }
+  if (loop.exit_branch == 0) return std::nullopt;
+  // Body, Label cont, step, then the backedge right before Label end.
+  for (std::size_t p = loop.exit_branch + 1; p < loop.end_label; ++p) {
+    const Insn& insn = insns[p];
+    if (insn.op == Opcode::Label) {
+      if (loop.cont != 0) return std::nullopt;
+      loop.cont = p;
+    } else if (insn.op == Opcode::Jump) {
+      if (insn.label != top.label || p + 1 != loop.end_label ||
+          loop.cont == 0) {
+        return std::nullopt;
+      }
+      loop.backedge = p;
+    } else if (is_branch(insn.op)) {
+      return std::nullopt;
+    }
+  }
+  if (loop.backedge == 0) return std::nullopt;
+  return loop;
+}
+
 }  // namespace hli::backend

@@ -10,6 +10,7 @@
 // one memory reference.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -58,6 +59,12 @@ enum class Opcode : std::uint8_t {
   return op == Opcode::Jump || op == Opcode::BranchZ || op == Opcode::BranchNZ ||
          op == Opcode::Return;
 }
+/// Labels, branches, returns and loop notes: the opcodes that end a
+/// straight-line run.  None of them defines a register.
+[[nodiscard]] constexpr bool is_control(Opcode op) {
+  return op == Opcode::Label || is_branch(op) || op == Opcode::LoopBeg ||
+         op == Opcode::LoopEnd;
+}
 
 /// What the back-end knows locally about a memory reference's address.
 enum class MemBase : std::uint8_t {
@@ -104,6 +111,23 @@ struct Insn {
   std::int64_t loop_step = 0;
   std::optional<std::int64_t> trip_count;
 };
+
+/// The register `insn` defines, or kNoReg (Store and control ops).
+[[nodiscard]] inline Reg def_of(const Insn& insn) {
+  return insn.op == Opcode::Store || is_control(insn.op) ? kNoReg : insn.rd;
+}
+
+/// Calls `fn(reg)` for every register `insn` reads, in operand order:
+/// rs1, rs2, then a Call's arguments.  No opcode sets an operand field it
+/// does not use, so this walk is exact for every opcode.
+template <typename Fn>
+void for_each_read(const Insn& insn, Fn&& fn) {
+  if (insn.rs1 != kNoReg) fn(insn.rs1);
+  if (insn.rs2 != kNoReg) fn(insn.rs2);
+  if (insn.op == Opcode::Call) {
+    for (const Reg r : insn.args) fn(r);
+  }
+}
 
 struct GlobalVar {
   std::string name;
@@ -152,6 +176,37 @@ struct RtlProgram {
     return -1;
   }
 };
+
+/// One matched LoopBeg/LoopEnd note pair.
+struct LoopSpan {
+  std::size_t beg = 0;  ///< LoopBeg position.
+  std::size_t end = 0;  ///< Matching LoopEnd position.
+  bool innermost = true;  ///< No loop note pair nested inside.
+};
+
+/// Every matched loop note pair of `func`, in LoopBeg order.  Unmatched
+/// notes (never produced by lowering) belong to no span.
+[[nodiscard]] std::vector<LoopSpan> loop_spans(const RtlFunction& func);
+
+/// Positions of the counted-loop skeleton lowering emits for a `for`:
+///
+///   LoopBeg; Label top; <cond>; BranchZ/NZ end; <body>; Label cont;
+///   <step>; Jump top; Label end; LoopEnd
+///
+/// with no other label or branch anywhere inside.
+struct CountedLoop {
+  std::size_t top = 0;          ///< Label top (LoopBeg + 1).
+  std::size_t exit_branch = 0;  ///< The branch to Label end.
+  std::size_t cont = 0;         ///< Label cont, between body and step.
+  std::size_t backedge = 0;     ///< Jump top.
+  std::size_t end_label = 0;    ///< Label end (LoopEnd - 1).
+};
+
+/// The skeleton of an innermost `span`, or nullopt when its instructions
+/// no longer have that shape.  Callers add their own conditions (trip
+/// count, exit polarity, induction step).
+[[nodiscard]] std::optional<CountedLoop> match_counted_loop(
+    const RtlFunction& func, const LoopSpan& span);
 
 /// Readable dump for debugging and golden tests.
 [[nodiscard]] std::string to_string(const Insn& insn);

@@ -31,47 +31,6 @@ const telemetry::Counter c_hli_answers =
 const telemetry::Counter c_native_fallbacks =
     telemetry::counter("query.native_fallbacks");
 
-/// Registers read by an instruction.
-void reads_of(const Insn& insn, std::vector<Reg>& out) {
-  out.clear();
-  if (insn.rs1 != kNoReg) out.push_back(insn.rs1);
-  if (insn.rs2 != kNoReg) out.push_back(insn.rs2);
-  if (insn.op == Opcode::Call) {
-    for (const Reg r : insn.args) out.push_back(r);
-  }
-}
-
-[[nodiscard]] Reg write_of(const Insn& insn) {
-  switch (insn.op) {
-    case Opcode::Store:
-    case Opcode::Jump:
-    case Opcode::BranchZ:
-    case Opcode::BranchNZ:
-    case Opcode::Return:
-    case Opcode::Label:
-    case Opcode::LoopBeg:
-    case Opcode::LoopEnd:
-      return kNoReg;
-    default:
-      return insn.rd;
-  }
-}
-
-[[nodiscard]] bool is_schedulable(const Insn& insn) {
-  switch (insn.op) {
-    case Opcode::Label:
-    case Opcode::Jump:
-    case Opcode::BranchZ:
-    case Opcode::BranchNZ:
-    case Opcode::Return:
-    case Opcode::LoopBeg:
-    case Opcode::LoopEnd:
-      return false;
-    default:
-      return true;
-  }
-}
-
 /// One scheduling region: a maximal run of schedulable instructions.
 struct Block {
   std::size_t begin = 0;
@@ -82,13 +41,13 @@ std::vector<Block> find_blocks(const RtlFunction& func) {
   std::vector<Block> blocks;
   std::size_t at = 0;
   while (at < func.insns.size()) {
-    if (!is_schedulable(func.insns[at])) {
+    if (is_control(func.insns[at].op)) {
       ++at;
       continue;
     }
     Block block;
     block.begin = at;
-    while (at < func.insns.size() && is_schedulable(func.insns[at])) ++at;
+    while (at < func.insns.size() && !is_control(func.insns[at].op)) ++at;
     block.end = at;
     blocks.push_back(block);
   }
@@ -96,8 +55,8 @@ std::vector<Block> find_blocks(const RtlFunction& func) {
 }
 
 /// Per-function scratch for block DDG construction, hoisted out of the
-/// inner loops so edge building stops allocating per pair: the read-set
-/// vectors, the per-`j` edge bitmap, the block occupancy bitmaps, and the
+/// inner loops so edge building stops allocating per pair: the read set
+/// of `j`, the per-`j` edge bitmap, the block occupancy bitmaps, and the
 /// HLI pair queries (with their conflict matrix) all keep their capacity
 /// across blocks.
 struct SchedScratch {
@@ -105,7 +64,6 @@ struct SchedScratch {
       : pairs(options.view, options.batch_queries, options.cache) {}
 
   std::vector<Reg> j_reads;
-  std::vector<Reg> i_reads;
   std::vector<std::uint64_t> edge_row;   ///< i-bits with an edge to j.
   std::vector<std::uint64_t> mem_pos;    ///< i-bits that are memory ops.
   std::vector<std::uint64_t> store_pos;  ///< i-bits that are stores.
@@ -259,14 +217,15 @@ class BlockScheduler {
 
     for (std::size_t j = 0; j < size_; ++j) {
       const Insn& bj = insn_at(j);
-      const Reg j_write = write_of(bj);
-      reads_of(bj, scratch_.j_reads);
+      const Reg j_write = def_of(bj);
+      scratch_.j_reads.clear();
+      for_each_read(bj, [&](Reg r) { scratch_.j_reads.push_back(r); });
       scratch_.edge_row.assign(words_, 0);
 
       // Register dependences.
       for (std::size_t i = 0; i < j; ++i) {
         const Insn& bi = insn_at(i);
-        const Reg i_write = write_of(bi);
+        const Reg i_write = def_of(bi);
         bool edge = false;
         if (i_write != kNoReg) {
           if (std::find(scratch_.j_reads.begin(), scratch_.j_reads.end(),
@@ -276,11 +235,9 @@ class BlockScheduler {
           if (i_write == j_write) edge = true;  // Output dependence.
         }
         if (!edge && j_write != kNoReg) {
-          reads_of(bi, scratch_.i_reads);
-          if (std::find(scratch_.i_reads.begin(), scratch_.i_reads.end(),
-                        j_write) != scratch_.i_reads.end()) {
-            edge = true;  // Anti dependence.
-          }
+          for_each_read(bi, [&](Reg r) {
+            if (r == j_write) edge = true;  // Anti dependence.
+          });
         }
         if (edge) add_edge(i, j);
       }

@@ -24,63 +24,6 @@ struct LoopBody {
   std::vector<const Insn*> insns;  ///< Schedulable body instructions.
 };
 
-/// Collects innermost loops: the instructions strictly between a LoopBeg
-/// and its matching LoopEnd that contain no nested LoopBeg; labels,
-/// branches and notes are skipped (they do not occupy issue slots in the
-/// modulo schedule's kernel).
-std::vector<LoopBody> innermost_bodies(const RtlFunction& func) {
-  std::vector<LoopBody> out;
-  std::vector<std::pair<std::size_t, format::RegionId>> stack;
-  for (std::size_t i = 0; i < func.insns.size(); ++i) {
-    const Insn& insn = func.insns[i];
-    if (insn.op == Opcode::LoopBeg) {
-      stack.emplace_back(i, insn.loop_region);
-    } else if (insn.op == Opcode::LoopEnd && !stack.empty()) {
-      const auto [beg, region] = stack.back();
-      stack.pop_back();
-      bool innermost = true;
-      LoopBody body;
-      body.region = region;
-      body.begin = beg + 1;
-      body.end = i;
-      for (std::size_t k = beg + 1; k < i; ++k) {
-        switch (func.insns[k].op) {
-          case Opcode::LoopBeg:
-            innermost = false;
-            break;
-          case Opcode::Label:
-          case Opcode::Jump:
-          case Opcode::BranchZ:
-          case Opcode::BranchNZ:
-          case Opcode::Return:
-          case Opcode::LoopEnd:
-            break;
-          default:
-            body.insns.push_back(&func.insns[k]);
-            break;
-        }
-        if (!innermost) break;
-      }
-      if (innermost && !body.insns.empty()) out.push_back(std::move(body));
-    }
-  }
-  return out;
-}
-
-/// Registers read by an instruction.
-void reads_of(const Insn& insn, std::vector<Reg>& out) {
-  out.clear();
-  if (insn.rs1 != kNoReg) out.push_back(insn.rs1);
-  if (insn.rs2 != kNoReg) out.push_back(insn.rs2);
-  if (insn.op == Opcode::Call) {
-    for (const Reg r : insn.args) out.push_back(r);
-  }
-}
-
-Reg write_of(const Insn& insn) {
-  return insn.op == Opcode::Store ? kNoReg : insn.rd;
-}
-
 class LoopAnalyzer {
  public:
   LoopAnalyzer(const LoopBody& body, const SwpOptions& options,
@@ -114,19 +57,16 @@ class LoopAnalyzer {
 
   void build_edges() {
     const std::size_t n = body_.insns.size();
-    std::vector<Reg> reads;
 
     // Register dependences, intra- and cross-iteration.  The last writer
     // of each register feeds readers in the NEXT iteration too (accumulators
     // and induction updates): a distance-1 arc.
     for (std::size_t j = 0; j < n; ++j) {
-      const Insn& bj = *body_.insns[j];
-      reads_of(bj, reads);
-      for (const Reg r : reads) {
+      for_each_read(*body_.insns[j], [&](Reg r) {
         // Nearest earlier writer in this iteration.
         bool found = false;
         for (std::size_t i = j; i-- > 0;) {
-          if (write_of(*body_.insns[i]) == r) {
+          if (def_of(*body_.insns[i]) == r) {
             add_edge(i, j, latency_of(*body_.insns[i]), 0);
             found = true;
             break;
@@ -135,13 +75,13 @@ class LoopAnalyzer {
         if (!found) {
           // Value flows in from the previous iteration if anyone writes it.
           for (std::size_t i = n; i-- > j + 1;) {
-            if (write_of(*body_.insns[i]) == r) {
+            if (def_of(*body_.insns[i]) == r) {
               add_edge(i, j, latency_of(*body_.insns[i]), 1);
               break;
             }
           }
         }
-      }
+      });
     }
 
     // Memory dependences.
@@ -238,7 +178,18 @@ std::vector<LoopPipelineInfo> analyze_software_pipelining(
   std::vector<LoopPipelineInfo> out;
   HliPairs pairs(options.use_hli ? options.view : nullptr,
                  true);  // Arena shared across the loops.
-  for (const LoopBody& body : innermost_bodies(func)) {
+  for (const LoopSpan& span : loop_spans(func)) {
+    if (!span.innermost) continue;
+    // Labels, branches and notes do not occupy issue slots in the modulo
+    // schedule's kernel.
+    LoopBody body;
+    body.region = func.insns[span.beg].loop_region;
+    body.begin = span.beg + 1;
+    body.end = span.end;
+    for (std::size_t k = body.begin; k < body.end; ++k) {
+      if (!is_control(func.insns[k].op)) body.insns.push_back(&func.insns[k]);
+    }
+    if (body.insns.empty()) continue;
     pairs.prepare(func.insns, body.begin, body.end, body.region);
     LoopAnalyzer analyzer(body, options, pairs);
     out.push_back(analyzer.run());

@@ -1,6 +1,7 @@
 #include "backend/unroll.hpp"
 
 #include <map>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -25,68 +26,21 @@ void UnrollStats::record_telemetry() const {
 
 namespace {
 
-struct LoopShape {
-  std::size_t beg = 0;        ///< LoopBeg.
-  std::size_t top_label = 0;  ///< Label top.
-  std::size_t branch = 0;     ///< Exit branch (BranchZ end).
-  std::size_t body_begin = 0; ///< First body insn.
-  std::size_t jump = 0;       ///< Jump top.
-  std::size_t end_label = 0;  ///< Label end.
-  std::size_t loop_end = 0;   ///< LoopEnd.
-};
-
-/// Matches the exact shape lowering emits for a canonical counted `for`
-/// with a straight-line body:
-///   LoopBeg; Label t; <cond insns>; BranchZ e; <body>; Label c;
-///   <step>; Jump t; Label e; LoopEnd
-/// Returns false if anything (inner loops, extra labels/branches) differs.
-bool match_loop(const RtlFunction& func, std::size_t beg, LoopShape& shape) {
-  const Insn& note = func.insns[beg];
-  if (note.op != Opcode::LoopBeg || !note.trip_count) return false;
-  shape.beg = beg;
-  std::size_t at = beg + 1;
-  const auto& insns = func.insns;
-  if (at >= insns.size() || insns[at].op != Opcode::Label) return false;
-  shape.top_label = at++;
-  // Condition computation up to the exit branch.
-  while (at < insns.size() && !is_branch(insns[at].op)) {
-    if (insns[at].op == Opcode::Label || insns[at].op == Opcode::LoopBeg ||
-        insns[at].op == Opcode::Call) {
-      return false;
-    }
-    ++at;
+/// The counted loop at `span` when unroll can copy its body: the skeleton
+/// lowering emits, a known trip count, a BranchZ exit and a condition
+/// without calls.
+std::optional<CountedLoop> unrollable(const RtlFunction& func,
+                                      const LoopSpan& span) {
+  const Insn& note = func.insns[span.beg];
+  if (!note.trip_count) return std::nullopt;
+  const std::optional<CountedLoop> loop = match_counted_loop(func, span);
+  if (!loop || func.insns[loop->exit_branch].op != Opcode::BranchZ) {
+    return std::nullopt;
   }
-  if (at >= insns.size() || insns[at].op != Opcode::BranchZ) return false;
-  shape.branch = at++;
-  shape.body_begin = at;
-  // Body and step: straight line until the back jump.  One intermediate
-  // label is allowed (the continue label lowering always emits).
-  std::size_t labels_seen = 0;
-  while (at < insns.size() && insns[at].op != Opcode::Jump) {
-    switch (insns[at].op) {
-      case Opcode::Label:
-        if (++labels_seen > 1) return false;
-        break;
-      case Opcode::BranchZ:
-      case Opcode::BranchNZ:
-      case Opcode::Return:
-      case Opcode::LoopBeg:
-      case Opcode::LoopEnd:
-        return false;
-      default:
-        break;
-    }
-    ++at;
+  for (std::size_t p = loop->top + 1; p < loop->exit_branch; ++p) {
+    if (func.insns[p].op == Opcode::Call) return std::nullopt;
   }
-  if (at >= insns.size()) return false;
-  shape.jump = at;
-  if (insns[at].label != insns[shape.top_label].label) return false;
-  ++at;
-  if (at >= insns.size() || insns[at].op != Opcode::Label) return false;
-  shape.end_label = at++;
-  if (at >= insns.size() || insns[at].op != Opcode::LoopEnd) return false;
-  shape.loop_end = at;
-  return true;
+  return loop;
 }
 
 /// Registers read before they are written within the body+step segment
@@ -97,19 +51,12 @@ std::set<Reg> upward_exposed(const RtlFunction& func, std::size_t begin,
                              std::size_t end) {
   std::set<Reg> exposed;
   std::set<Reg> defined;
-  std::vector<Reg> reads;
   for (std::size_t i = begin; i < end; ++i) {
     const Insn& insn = func.insns[i];
-    reads.clear();
-    if (insn.rs1 != kNoReg) reads.push_back(insn.rs1);
-    if (insn.rs2 != kNoReg) reads.push_back(insn.rs2);
-    if (insn.op == Opcode::Call) {
-      for (const Reg r : insn.args) reads.push_back(r);
-    }
-    for (const Reg r : reads) {
+    for_each_read(insn, [&](Reg r) {
       if (!defined.contains(r)) exposed.insert(r);
-    }
-    const Reg w = insn.op == Opcode::Store ? kNoReg : insn.rd;
+    });
+    const Reg w = def_of(insn);
     if (w != kNoReg) defined.insert(w);
   }
   return exposed;
@@ -125,16 +72,15 @@ UnrollStats unroll_function(RtlFunction& func, const UnrollOptions& options) {
   std::set<format::RegionId> done;
   while (changed) {
     changed = false;
-    for (std::size_t i = 0; i < func.insns.size(); ++i) {
-      if (func.insns[i].op != Opcode::LoopBeg) continue;
-      const format::RegionId region = func.insns[i].loop_region;
+    for (const LoopSpan& span : loop_spans(func)) {
+      const Insn& note = func.insns[span.beg];
+      const format::RegionId region = note.loop_region;
       if (done.contains(region)) continue;
       done.insert(region);
 
-      LoopShape shape;
-      if (!match_loop(func, i, shape) ||
-          *func.insns[i].trip_count % options.factor != 0 ||
-          *func.insns[i].trip_count == 0) {
+      const std::optional<CountedLoop> shape = unrollable(func, span);
+      if (!shape || *note.trip_count % options.factor != 0 ||
+          *note.trip_count == 0) {
         ++stats.loops_rejected;
         continue;
       }
@@ -149,10 +95,11 @@ UnrollStats unroll_function(RtlFunction& func, const UnrollOptions& options) {
         }
       }
 
-      // Build the unrolled body: copies 1..factor-1 of [body_begin, jump),
-      // with non-carried registers renamed and HLI items re-stamped.
-      const std::size_t seg_begin = shape.body_begin;
-      const std::size_t seg_end = shape.jump;
+      // Build the unrolled body: copies 1..factor-1 of [exit_branch + 1,
+      // backedge), with non-carried registers renamed and HLI items
+      // re-stamped.
+      const std::size_t seg_begin = shape->exit_branch + 1;
+      const std::size_t seg_end = shape->backedge;
       const std::set<Reg> carried = upward_exposed(func, seg_begin, seg_end);
 
       // Registers read anywhere outside the copied segment must also keep
@@ -164,10 +111,7 @@ UnrollStats unroll_function(RtlFunction& func, const UnrollOptions& options) {
       std::set<Reg> live_outside;
       for (std::size_t k = 0; k < func.insns.size(); ++k) {
         if (k >= seg_begin && k < seg_end) continue;
-        const Insn& insn = func.insns[k];
-        if (insn.rs1 != kNoReg) live_outside.insert(insn.rs1);
-        if (insn.rs2 != kNoReg) live_outside.insert(insn.rs2);
-        for (const Reg r : insn.args) live_outside.insert(r);
+        for_each_read(func.insns[k], [&](Reg r) { live_outside.insert(r); });
       }
 
       std::vector<Insn> expanded;
@@ -187,7 +131,7 @@ UnrollStats unroll_function(RtlFunction& func, const UnrollOptions& options) {
           if (insn.rs1 != kNoReg) rename_use(insn.rs1);
           if (insn.rs2 != kNoReg) rename_use(insn.rs2);
           for (Reg& r : insn.args) rename_use(r);
-          const Reg w = insn.op == Opcode::Store ? kNoReg : insn.rd;
+          const Reg w = def_of(insn);
           if (w != kNoReg && !carried.contains(w) &&
               !live_outside.contains(w)) {
             const Reg fresh = func.fresh_reg();
@@ -216,14 +160,14 @@ UnrollStats unroll_function(RtlFunction& func, const UnrollOptions& options) {
         }
       }
 
-      // Splice: [.. branch] expanded [jump ..].
+      // Splice: [.. exit branch] expanded [backedge ..].
       std::vector<Insn> rebuilt;
       rebuilt.reserve(func.insns.size() + expanded.size());
       rebuilt.insert(rebuilt.end(), func.insns.begin(),
                      func.insns.begin() + static_cast<std::ptrdiff_t>(seg_begin));
       rebuilt.insert(rebuilt.end(), expanded.begin(), expanded.end());
       rebuilt.insert(rebuilt.end(),
-                     func.insns.begin() + static_cast<std::ptrdiff_t>(shape.jump),
+                     func.insns.begin() + static_cast<std::ptrdiff_t>(seg_end),
                      func.insns.end());
       func.insns = std::move(rebuilt);
 

@@ -575,6 +575,18 @@ class ByteCursor {
     fail(std::string("varint too long in ") + what);
   }
 
+  /// A varint stored in a 32-bit field (IDs, line numbers): a larger
+  /// value is corruption, reported at the varint's first byte.
+  std::uint32_t u32(const char* what) {
+    const std::size_t at = pos_;
+    const std::uint64_t value = varint(what);
+    if (value > std::numeric_limits<std::uint32_t>::max()) {
+      fail_at(at, std::string(what) + " " + std::to_string(value) +
+                      " does not fit in 32 bits");
+    }
+    return static_cast<std::uint32_t>(value);
+  }
+
   /// A varint that counts elements each at least one byte wide, so any
   /// value beyond the remaining span is structurally impossible.
   std::uint64_t count(const char* what) {
@@ -680,7 +692,7 @@ std::vector<ItemId> decode_id_list(ByteCursor& cur, const char* what) {
   std::vector<ItemId> ids;
   ids.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
-    ids.push_back(static_cast<ItemId>(cur.varint(what)));
+    ids.push_back(cur.u32(what));
   }
   return ids;
 }
@@ -811,7 +823,7 @@ HlibContainer open_hlib(std::string_view bytes) {
   container.units.reserve(unit_count);
   for (std::uint64_t i = 0; i < unit_count; ++i) {
     HlibContainer::Unit unit;
-    unit.name_id = static_cast<format::StringId>(cur.varint("unit name id"));
+    unit.name_id = cur.u32("unit name id");
     unit.offset = cur.varint("unit offset");
     unit.length = cur.varint("unit length");
     unit.checksum = cur.fixed32("unit checksum");
@@ -845,19 +857,19 @@ HliEntry decode_hlib_unit(const HlibContainer& container, std::size_t index) {
   HliEntry entry;
   entry.unit_name = pool_string(container, cur.varint("unit name"), cur,
                                 "unit name");
-  entry.next_id = static_cast<ItemId>(cur.varint("next_id"));
+  entry.next_id = cur.u32("next_id");
 
   const std::uint64_t line_count = cur.count("line count");
   auto& lines = entry.line_table.mutable_lines();
   lines.reserve(line_count);
   for (std::uint64_t l = 0; l < line_count; ++l) {
     LineEntry line;
-    line.line = static_cast<std::uint32_t>(cur.varint("line number"));
+    line.line = cur.u32("line number");
     const std::uint64_t item_count = cur.count("line item count");
     line.items.reserve(item_count);
     for (std::uint64_t i = 0; i < item_count; ++i) {
       ItemEntry item;
-      item.id = static_cast<ItemId>(cur.varint("item id"));
+      item.id = cur.u32("item id");
       const std::uint8_t type = cur.byte("item type");
       if (type > static_cast<std::uint8_t>(ItemType::ArgLoad)) {
         cur.fail("bad item type " + std::to_string(type));
@@ -869,28 +881,28 @@ HliEntry decode_hlib_unit(const HlibContainer& container, std::size_t index) {
   }
 
   const std::uint64_t region_count = cur.count("region count");
-  entry.root_region = static_cast<RegionId>(cur.varint("root region"));
+  entry.root_region = cur.u32("root region");
   entry.regions.reserve(region_count);
   for (std::uint64_t ri = 0; ri < region_count; ++ri) {
     RegionEntry region;
-    region.id = static_cast<RegionId>(cur.varint("region id"));
+    region.id = cur.u32("region id");
     const std::uint8_t rtype = cur.byte("region type");
     if (rtype > 1) cur.fail("bad region type " + std::to_string(rtype));
     region.type = rtype == 1 ? RegionType::Loop : RegionType::Unit;
-    region.parent = static_cast<RegionId>(cur.varint("region parent"));
-    region.first_line = static_cast<std::uint32_t>(cur.varint("first line"));
-    region.last_line = static_cast<std::uint32_t>(cur.varint("last line"));
+    region.parent = cur.u32("region parent");
+    region.first_line = cur.u32("first line");
+    region.last_line = cur.u32("last line");
     const std::uint64_t child_count = cur.count("child count");
     region.children.reserve(child_count);
     for (std::uint64_t i = 0; i < child_count; ++i) {
-      region.children.push_back(static_cast<RegionId>(cur.varint("child id")));
+      region.children.push_back(cur.u32("child id"));
     }
 
     const std::uint64_t class_count = cur.count("class count");
     region.classes.reserve(class_count);
     for (std::uint64_t i = 0; i < class_count; ++i) {
       EquivClass cls;
-      cls.id = static_cast<ItemId>(cur.varint("class id"));
+      cls.id = cur.u32("class id");
       const std::uint8_t flags = cur.byte("class flags");
       if (flags > 0x0f) cur.fail("bad class flags " + std::to_string(flags));
       cls.type = (flags & 1) != 0 ? EquivAccType::Maybe : EquivAccType::Definite;
@@ -918,8 +930,8 @@ HliEntry decode_hlib_unit(const HlibContainer& container, std::size_t index) {
     region.lcdds.reserve(lcdd_count);
     for (std::uint64_t i = 0; i < lcdd_count; ++i) {
       LcddEntry dep;
-      dep.src = static_cast<ItemId>(cur.varint("lcdd src"));
-      dep.dst = static_cast<ItemId>(cur.varint("lcdd dst"));
+      dep.src = cur.u32("lcdd src");
+      dep.dst = cur.u32("lcdd dst");
       const std::uint8_t flags = cur.byte("lcdd flags");
       if (flags > 3) cur.fail("bad lcdd flags " + std::to_string(flags));
       dep.type = (flags & 1) != 0 ? DepType::Maybe : DepType::Definite;
@@ -937,11 +949,11 @@ HliEntry decode_hlib_unit(const HlibContainer& container, std::size_t index) {
       if (flags > 3) cur.fail("bad call effect flags " + std::to_string(flags));
       eff.is_subregion = (flags & 1) != 0;
       eff.unknown = (flags & 2) != 0;
-      const std::uint64_t key = cur.varint("call effect key");
+      const std::uint32_t key = cur.u32("call effect key");
       if (eff.is_subregion) {
-        eff.subregion = static_cast<RegionId>(key);
+        eff.subregion = key;
       } else {
-        eff.call_item = static_cast<ItemId>(key);
+        eff.call_item = key;
       }
       eff.ref_classes = decode_id_list(cur, "call effect ref");
       eff.mod_classes = decode_id_list(cur, "call effect mod");

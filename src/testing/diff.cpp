@@ -137,20 +137,11 @@ class LoopDepOracle final : public backend::TraceSink {
         if (fn.name == report.function) func = &fn;
       }
       if (func == nullptr) continue;
+      // The report's loop note pair; top label + unique backedge jump.
       const std::size_t beg = report.loop_beg;
-      if (beg >= func->insns.size() ||
-          func->insns[beg].op != backend::Opcode::LoopBeg) {
-        continue;
-      }
-      // Matching LoopEnd by nesting; top label + unique backedge jump.
       std::size_t end = beg;
-      int depth = 0;
-      for (std::size_t i = beg; i < func->insns.size(); ++i) {
-        if (func->insns[i].op == backend::Opcode::LoopBeg) ++depth;
-        if (func->insns[i].op == backend::Opcode::LoopEnd && --depth == 0) {
-          end = i;
-          break;
-        }
+      for (const backend::LoopSpan& span : backend::loop_spans(*func)) {
+        if (span.beg == beg) end = span.end;
       }
       if (end == beg) continue;
       if (func->insns[beg + 1].op != backend::Opcode::Label) continue;

@@ -9,6 +9,7 @@
 
 #include "hli/verify.hpp"
 #include "hli_test_util.hpp"
+#include "tests/testutil/hlib_patch.hpp"
 #include "workloads/workloads.hpp"
 
 namespace hli {
@@ -201,6 +202,36 @@ TEST(BinarySerializeTest, RejectsUnitPayloadChecksumMismatch) {
     EXPECT_NE(what.find("checksum mismatch"), std::string::npos) << what;
     EXPECT_NE(what.find("offset " +
                         std::to_string(container.units[0].offset)),
+              std::string::npos)
+        << what;
+  }
+}
+
+TEST(BinarySerializeTest, ResealedPatchWithinRangeRoundTrips) {
+  testing::BuiltUnit built(kProgram);
+  const std::string bytes = write_hlib(built.file);
+  const format::ItemId next_id = built.file.entries.at(0).next_id;
+  // Re-sealing with the value the unit already has reproduces the file.
+  EXPECT_EQ(testutil::hlib_with_next_id(bytes, next_id), bytes);
+  const format::HliFile read =
+      read_hlib(testutil::hlib_with_next_id(bytes, UINT32_MAX));
+  EXPECT_EQ(read.entries.at(0).next_id, UINT32_MAX);
+}
+
+TEST(BinarySerializeTest, RejectsIdBeyond32BitsAtItsOffset) {
+  testing::BuiltUnit built(kProgram);
+  std::size_t field = 0;
+  const std::string corrupt = testutil::hlib_with_next_id(
+      write_hlib(built.file), (std::uint64_t{1} << 32) + 5, &field);
+  // Every checksum matches: only the field decoder can catch the value.
+  const serialize::HlibContainer container = open_hlib(corrupt);
+  try {
+    (void)serialize::decode_hlib_unit(container, 0);
+    FAIL() << "a 33-bit next_id was truncated into the 32-bit field";
+  } catch (const support::CompileError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("HLIB error at offset " + std::to_string(field) +
+                        ": next_id 4294967301 does not fit in 32 bits"),
               std::string::npos)
         << what;
   }

@@ -15,6 +15,7 @@
 #include "frontend/sema.hpp"
 #include "frontend/hligen.hpp"
 #include "hli/serialize.hpp"
+#include "tests/testutil/hlib_patch.hpp"
 #include "tests/testutil/temp_path.hpp"
 
 namespace {
@@ -223,6 +224,20 @@ TEST(HlicCliTest, VerifyRejectsBitFlippedBinaryNamingOffset) {
   EXPECT_NE(result.output.find("malformed HLI"), std::string::npos)
       << result.output;
   EXPECT_NE(result.output.find("offset"), std::string::npos) << result.output;
+}
+
+TEST(HlicCliTest, VerifyRejectsBinaryIdBeyond32Bits) {
+  // Checksums re-sealed, so only the field decoder sees the bad value.
+  const std::string bytes = hli::testutil::hlib_with_next_id(
+      build_hlib_bytes(), (std::uint64_t{1} << 32) + 5);
+  const RunResult result =
+      run_hlic("--verify " + write_temp_binary("huge_id.hlib", bytes));
+  EXPECT_EQ(result.exit_code, 1) << result.output;
+  EXPECT_NE(result.output.find("HLIB error at offset"), std::string::npos)
+      << result.output;
+  EXPECT_NE(result.output.find("next_id 4294967301 does not fit in 32 bits"),
+            std::string::npos)
+      << result.output;
 }
 
 TEST(HlicCliTest, EmitBinaryDumpRoundTripsThroughVerify) {

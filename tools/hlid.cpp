@@ -36,6 +36,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "service/client.hpp"
@@ -351,6 +352,7 @@ int run_bench(const CliOptions& options) {
   std::ostringstream json;
   json << "{\n";
   json << "  \"bench\": \"service\",\n";
+  json << "  \"nproc\": " << std::thread::hardware_concurrency() << ",\n";
   json << "  \"wall_ms\": " << wall_ms << ",\n";
   json << "  \"cold_us_total\": " << cold_total << ",\n";
   json << "  \"warm_us_total\": " << warm_total << ",\n";
