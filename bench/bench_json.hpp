@@ -1,9 +1,11 @@
 // Shared helpers for the bench binaries: `--json <path>` machine-readable
-// output ({bench, nproc, wall_ms, per_workload: [...]}) so CI can collect
-// BENCH_*.json trajectory files, plus `--jobs N` parsing for the benches
+// output ({bench, nproc, trials, wall_ms, per_workload: [...]}) so CI can
+// collect BENCH_*.json trajectory files, `spread()` for a timed metric
+// repeated over several trials, plus `--jobs N` parsing for the benches
 // that fan compilation out over the parallel driver.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -19,6 +21,26 @@ struct Metric {
   double value = 0.0;
 };
 
+/// The median of `samples` (the mean of the middle two for an even
+/// count); 0 when empty.
+inline double median(std::vector<double> samples) {
+  if (samples.empty()) return 0.0;
+  std::sort(samples.begin(), samples.end());
+  const std::size_t mid = samples.size() / 2;
+  return samples.size() % 2 != 0 ? samples[mid]
+                                 : (samples[mid - 1] + samples[mid]) / 2;
+}
+
+/// `key_median`, `key_min` and `key_max` over one metric's trials.
+inline std::vector<Metric> spread(const std::string& key,
+                                  const std::vector<double>& samples) {
+  if (samples.empty()) return {};
+  const auto [lo, hi] = std::minmax_element(samples.begin(), samples.end());
+  return {{key + "_median", median(samples)},
+          {key + "_min", *lo},
+          {key + "_max", *hi}};
+}
+
 struct WorkloadReport {
   std::string name;
   std::vector<Metric> metrics;
@@ -27,6 +49,7 @@ struct WorkloadReport {
 /// One bench run's machine-readable result.
 struct JsonReport {
   std::string bench;
+  unsigned trials = 1;  ///< Runs behind each spread() metric.
   double wall_ms = 0.0;
   std::vector<WorkloadReport> per_workload;
 
@@ -43,15 +66,17 @@ struct JsonReport {
       return false;
     }
     std::fprintf(out, "{\n  \"bench\": \"%s\",\n  \"nproc\": %u,\n"
-                      "  \"wall_ms\": %.3f,\n  \"per_workload\": [",
+                      "  \"trials\": %u,\n  \"wall_ms\": %.3f,\n"
+                      "  \"per_workload\": [",
                  escaped(bench).c_str(), std::thread::hardware_concurrency(),
-                 wall_ms);
+                 trials, wall_ms);
     for (std::size_t i = 0; i < per_workload.size(); ++i) {
       const WorkloadReport& w = per_workload[i];
       std::fprintf(out, "%s\n    {\"name\": \"%s\"", i == 0 ? "" : ",",
                    escaped(w.name).c_str());
       for (const Metric& m : w.metrics) {
-        std::fprintf(out, ", \"%s\": %.6g", escaped(m.key).c_str(), m.value);
+        // 12 significant digits keep cycle and query counts exact.
+        std::fprintf(out, ", \"%s\": %.12g", escaped(m.key).c_str(), m.value);
       }
       std::fputc('}', out);
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "backend/gcc_alias.hpp"
@@ -54,20 +55,31 @@ std::vector<Block> find_blocks(const RtlFunction& func) {
   return blocks;
 }
 
-/// Per-function scratch for block DDG construction, hoisted out of the
-/// inner loops so edge building stops allocating per pair: the read set
-/// of `j`, the per-`j` edge bitmap, the block occupancy bitmaps, and the
-/// HLI pair queries (with their conflict matrix) all keep their capacity
-/// across blocks.
+/// Per-function scratch for block DDG construction, kept across blocks
+/// so the per-block tables and lists keep their capacity.
 struct SchedScratch {
   explicit SchedScratch(const SchedOptions& options)
       : pairs(options.view, options.batch_queries, options.cache) {}
 
-  std::vector<Reg> j_reads;
-  std::vector<std::uint64_t> edge_row;   ///< i-bits with an edge to j.
+  static constexpr std::uint32_t kNone = UINT32_MAX;
+
+  std::vector<std::uint64_t> skip;       ///< i-bits register-dependent to j.
   std::vector<std::uint64_t> mem_pos;    ///< i-bits that are memory ops.
   std::vector<std::uint64_t> store_pos;  ///< i-bits that are stores.
   std::vector<std::uint64_t> call_pos;   ///< i-bits that are calls.
+
+  // Per-register tables under block-local dense ids: `slot` maps a Reg
+  // to its id (kNone when the block has not named it), `regs` lists the
+  // Regs in id order so the slots can be reset at block end.
+  std::vector<std::uint32_t> slot;
+  std::vector<Reg> regs;
+  std::vector<std::uint64_t> writers;  ///< Row per id: every earlier def.
+  std::vector<std::uint64_t> readers;  ///< Row per id: every earlier use.
+  std::vector<std::uint32_t> last_writer;               ///< Per id.
+  std::vector<std::vector<std::uint32_t>> reads_since;  ///< Per id.
+
+  std::vector<std::vector<std::uint32_t>> succs;  ///< Per local insn.
+  std::vector<std::uint32_t> preds;               ///< Per local insn.
   HliPairs pairs;
 };
 
@@ -85,20 +97,18 @@ class BlockScheduler {
   }
 
  private:
-  [[nodiscard]] const Insn& insn_at(std::size_t local) const {
+  static constexpr std::uint32_t kNone = SchedScratch::kNone;
+
+  [[nodiscard]] Insn& insn_at(std::size_t local) const {
     return func_.insns[block_.begin + local];
   }
 
-  void add_edge(std::size_t i, std::size_t j) {
-    // The per-j seen bitmap replaces the old linear std::find dedup over
-    // the successor list — and doubles as the eligibility mask the later
-    // phases AND against.
-    std::uint64_t& word = scratch_.edge_row[i >> 6];
-    const std::uint64_t bit = std::uint64_t{1} << (i & 63);
-    if ((word & bit) != 0) return;
-    word |= bit;
-    succs_[i].push_back(j);
-    ++preds_[j];
+  /// Adds the edge i -> j.  A register pair may be linked twice (say,
+  /// `rs1 == rs2`); the copy changes neither a priority nor when j gets
+  /// ready, since each copy is counted in and counted out.
+  void link(std::size_t i, std::size_t j) {
+    scratch_.succs[i].push_back(static_cast<std::uint32_t>(j));
+    ++scratch_.preds[j];
   }
 
   /// The combined memory disambiguation of Figure 5, with stats.
@@ -161,9 +171,10 @@ class BlockScheduler {
     return base && irdep;
   }
 
-  /// Fills the block occupancy bitmaps and starts the block's HLI pair
-  /// queries.
+  /// Resets the per-block tables, fills the block occupancy bitmaps and
+  /// starts the block's HLI pair queries.
   void prepare_block() {
+    words_ = (size_ + 63) / 64;
     scratch_.mem_pos.assign(words_, 0);
     scratch_.store_pos.assign(words_, 0);
     scratch_.call_pos.assign(words_, 0);
@@ -178,16 +189,57 @@ class BlockScheduler {
       }
     }
     scratch_.pairs.prepare(func_.insns, block_.begin, block_.end);
+
+    if (scratch_.succs.size() < size_) scratch_.succs.resize(size_);
+    for (std::size_t k = 0; k < size_; ++k) scratch_.succs[k].clear();
+    scratch_.preds.assign(size_, 0);
+    scratch_.writers.clear();
+    scratch_.readers.clear();
+    scratch_.last_writer.clear();
   }
 
-  /// Calls `fn(i)` for every i < j whose bit is set in `cand` and that
-  /// has no edge to j yet — one AND + countr_zero scan per 64 candidates.
+  /// Releases the block's register slots for the next block.
+  void finish_block() {
+    for (const Reg r : scratch_.regs) {
+      scratch_.slot[static_cast<std::size_t>(r)] = kNone;
+    }
+    scratch_.regs.clear();
+  }
+
+  /// Block-local dense id of `r`, allocating its rows on first sight.
+  std::uint32_t id_of(Reg r) {
+    const auto at = static_cast<std::size_t>(r);
+    if (at >= scratch_.slot.size()) scratch_.slot.resize(at + 1, kNone);
+    std::uint32_t& id = scratch_.slot[at];
+    if (id == kNone) {
+      id = static_cast<std::uint32_t>(scratch_.regs.size());
+      scratch_.regs.push_back(r);
+      scratch_.writers.resize(scratch_.writers.size() + words_, 0);
+      scratch_.readers.resize(scratch_.readers.size() + words_, 0);
+      scratch_.last_writer.push_back(kNone);
+      if (scratch_.reads_since.size() <= id) {
+        scratch_.reads_since.emplace_back();
+      }
+      scratch_.reads_since[id].clear();
+    }
+    return id;
+  }
+
+  /// ORs words [0, n) of one per-register row into the skip mask.
+  void or_row(const std::vector<std::uint64_t>& rows, std::uint32_t id,
+              std::size_t n) {
+    const std::uint64_t* row = rows.data() + std::size_t{id} * words_;
+    for (std::size_t w = 0; w < n; ++w) scratch_.skip[w] |= row[w];
+  }
+
+  /// Calls `fn(i)` for every i < j whose bit is set in `cand` and not in
+  /// the skip mask — one AND + countr_zero scan per 64 candidates.
   template <typename Fn>
   void for_each_eligible(const std::vector<std::uint64_t>& cand,
                          std::size_t j, Fn&& fn) {
     const std::size_t wj = j >> 6;
     for (std::size_t w = 0; w <= wj; ++w) {
-      std::uint64_t bits = cand[w] & ~scratch_.edge_row[w];
+      std::uint64_t bits = cand[w] & ~scratch_.skip[w];
       if (w == wj) {
         const unsigned rem = static_cast<unsigned>(j & 63);
         bits &= rem != 0 ? (std::uint64_t{1} << rem) - 1 : 0;
@@ -201,45 +253,50 @@ class BlockScheduler {
     }
   }
 
-  // Edge construction is phase-split per j: register dependences first,
-  // then memory pairs, then calls.  Each phase tests exactly the pairs
-  // the old fused per-i loop tested (the categories are mutually
-  // exclusive and all gate on "no edge yet"), each (i, j) gains at most
-  // one edge, and i ascends within every phase — so succs_/preds_ and
-  // every Table 2 counter come out identical to the fused loop, while
-  // the memory/call phases skip already-ordered predecessors a word at
-  // a time.
+  // Edges are built per j in three phases: registers, then memory pairs,
+  // then calls.
+  //
+  // Register edges come from def/use chains: a true edge from each read
+  // register's last writer, an output edge from the defined register's
+  // last writer, and an anti edge from each read of it since that write.
+  // Every other register-dependent pair (i, j) is reached through a path
+  // of these, and every edge has latency >= 1, so readiness, the
+  // longest-path priority and hence the schedule are those of the graph
+  // that links every register-dependent pair directly.
+  //
+  // The memory and call phases still skip exactly the pairs that have a
+  // direct register dependence — which pairs are queried is what the
+  // Table 2 counters count.  That skip mask is j's row of the all-pairs
+  // graph: the earlier writers of each register j reads, plus the earlier
+  // writers and readers of the register j defines.  The memory and call
+  // candidates of one j are disjoint, so neither phase needs the other's
+  // edges in the mask.
   void build_edges() {
-    succs_.assign(size_, {});
-    preds_.assign(size_, 0);
-    words_ = (size_ + 63) / 64;
     prepare_block();
-
     for (std::size_t j = 0; j < size_; ++j) {
       const Insn& bj = insn_at(j);
-      const Reg j_write = def_of(bj);
-      scratch_.j_reads.clear();
-      for_each_read(bj, [&](Reg r) { scratch_.j_reads.push_back(r); });
-      scratch_.edge_row.assign(words_, 0);
+      const auto jj = static_cast<std::uint32_t>(j);
+      const Reg d = def_of(bj);
+      const std::size_t n = (j >> 6) + 1;  // Words holding every i < j.
+      scratch_.skip.assign(words_, 0);
 
-      // Register dependences.
-      for (std::size_t i = 0; i < j; ++i) {
-        const Insn& bi = insn_at(i);
-        const Reg i_write = def_of(bi);
-        bool edge = false;
-        if (i_write != kNoReg) {
-          if (std::find(scratch_.j_reads.begin(), scratch_.j_reads.end(),
-                        i_write) != scratch_.j_reads.end()) {
-            edge = true;  // True dependence.
-          }
-          if (i_write == j_write) edge = true;  // Output dependence.
+      for_each_read(bj, [&](Reg r) {
+        const std::uint32_t id = id_of(r);
+        or_row(scratch_.writers, id, n);
+        if (scratch_.last_writer[id] != kNone) {
+          link(scratch_.last_writer[id], j);  // True dependence.
         }
-        if (!edge && j_write != kNoReg) {
-          for_each_read(bi, [&](Reg r) {
-            if (r == j_write) edge = true;  // Anti dependence.
-          });
+      });
+      const std::uint32_t did = d != kNoReg ? id_of(d) : kNone;
+      if (did != kNone) {
+        or_row(scratch_.writers, did, n);
+        or_row(scratch_.readers, did, n);
+        if (scratch_.last_writer[did] != kNone) {
+          link(scratch_.last_writer[did], j);  // Output dependence.
         }
-        if (edge) add_edge(i, j);
+        for (const std::uint32_t i : scratch_.reads_since[did]) {
+          link(i, j);  // Anti dependence.
+        }
       }
 
       if (is_memory_op(bj.op)) {
@@ -248,21 +305,35 @@ class BlockScheduler {
         const auto& cand =
             bj.op == Opcode::Store ? scratch_.mem_pos : scratch_.store_pos;
         for_each_eligible(cand, j, [&](std::size_t i) {
-          if (mem_dependence(i, j)) add_edge(i, j);
+          if (mem_dependence(i, j)) link(i, j);
         });
         // Earlier calls clobbering this memory op.
         for_each_eligible(scratch_.call_pos, j, [&](std::size_t i) {
-          if (call_dependence(j, i)) add_edge(i, j);
+          if (call_dependence(j, i)) link(i, j);
         });
       } else if (bj.op == Opcode::Call) {
         // Calls never reorder; earlier memory ops by REF/MOD.
         for_each_eligible(scratch_.call_pos, j,
-                          [&](std::size_t i) { add_edge(i, j); });
+                          [&](std::size_t i) { link(i, j); });
         for_each_eligible(scratch_.mem_pos, j, [&](std::size_t i) {
-          if (call_dependence(i, j)) add_edge(i, j);
+          if (call_dependence(i, j)) link(i, j);
         });
       }
+
+      // Enter j into the chains and the all-pairs rows.
+      const std::uint64_t bit = std::uint64_t{1} << (j & 63);
+      for_each_read(bj, [&](Reg r) {
+        const std::uint32_t id = id_of(r);
+        scratch_.readers[std::size_t{id} * words_ + (j >> 6)] |= bit;
+        scratch_.reads_since[id].push_back(jj);
+      });
+      if (did != kNone) {
+        scratch_.writers[std::size_t{did} * words_ + (j >> 6)] |= bit;
+        scratch_.reads_since[did].clear();
+        scratch_.last_writer[did] = jj;
+      }
     }
+    finish_block();
   }
 
   [[nodiscard]] unsigned latency_of(const Insn& insn) const {
@@ -275,36 +346,42 @@ class BlockScheduler {
     std::vector<unsigned> priority(size_, 0);
     for (std::size_t idx = size_; idx-- > 0;) {
       unsigned best = 0;
-      for (const std::size_t succ : succs_[idx]) {
+      for (const std::uint32_t succ : scratch_.succs[idx]) {
         best = std::max(best, priority[succ]);
       }
       priority[idx] = best + latency_of(insn_at(idx));
     }
 
-    std::vector<std::size_t> order;
-    order.reserve(size_);
-    std::vector<unsigned> remaining = preds_;
-    std::vector<bool> done(size_, false);
+    // Ready heap: the highest priority first, ties to the earliest
+    // original position (stable, deterministic).
+    const auto later = [&priority](std::uint32_t a, std::uint32_t b) {
+      return priority[a] != priority[b] ? priority[a] < priority[b] : a > b;
+    };
+    std::vector<std::uint32_t> ready;
+    std::vector<std::uint32_t>& remaining = scratch_.preds;
+    for (std::uint32_t idx = 0; idx < size_; ++idx) {
+      if (remaining[idx] == 0) ready.push_back(idx);
+    }
+    std::make_heap(ready.begin(), ready.end(), later);
 
-    for (std::size_t emitted = 0; emitted < size_; ++emitted) {
-      // Pick the ready instruction with the highest priority; break ties
-      // by original position (stable, deterministic).
-      std::size_t best = size_;
-      for (std::size_t idx = 0; idx < size_; ++idx) {
-        if (done[idx] || remaining[idx] != 0) continue;
-        if (best == size_ || priority[idx] > priority[best]) best = idx;
+    std::vector<Insn> scheduled;
+    scheduled.reserve(size_);
+    while (!ready.empty()) {
+      std::pop_heap(ready.begin(), ready.end(), later);
+      const std::uint32_t best = ready.back();
+      ready.pop_back();
+      scheduled.push_back(std::move(insn_at(best)));
+      for (const std::uint32_t succ : scratch_.succs[best]) {
+        if (--remaining[succ] == 0) {
+          ready.push_back(succ);
+          std::push_heap(ready.begin(), ready.end(), later);
+        }
       }
-      order.push_back(best);
-      done[best] = true;
-      for (const std::size_t succ : succs_[best]) --remaining[succ];
     }
 
     // Rewrite the block.
-    std::vector<Insn> scheduled;
-    scheduled.reserve(size_);
-    for (const std::size_t idx : order) scheduled.push_back(insn_at(idx));
     for (std::size_t k = 0; k < size_; ++k) {
-      func_.insns[block_.begin + k] = std::move(scheduled[k]);
+      insn_at(k) = std::move(scheduled[k]);
     }
     stats_.scheduled_insns += size_;
   }
@@ -316,8 +393,6 @@ class BlockScheduler {
   SchedScratch& scratch_;
   std::size_t size_;
   std::size_t words_ = 0;
-  std::vector<std::vector<std::size_t>> succs_;
-  std::vector<unsigned> preds_;
 };
 
 }  // namespace

@@ -148,6 +148,15 @@ std::size_t Tracer::event_count() const {
   return events_.size();
 }
 
+std::uint64_t Tracer::total_us(std::string_view name) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::uint64_t total = 0;
+  for (const Event& event : events_) {
+    if (event.name == name) total += event.dur_us;
+  }
+  return total;
+}
+
 namespace {
 
 void append_escaped(std::string& out, std::string_view s) {

@@ -194,6 +194,9 @@ class Tracer {
 
   [[nodiscard]] std::size_t event_count() const;
 
+  /// Summed duration of every event named `name`.
+  [[nodiscard]] std::uint64_t total_us(std::string_view name) const;
+
   /// The full trace file: `{"traceEvents":[...]}`, events sorted by
   /// (timestamp, tid) for stable viewing.
   [[nodiscard]] std::string to_json() const;
