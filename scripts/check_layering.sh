@@ -65,3 +65,25 @@ if [[ -n "$copies" ]]; then
   exit 1
 fi
 echo "layering: ok (RTL operand facts live only in src/backend/rtl.{hpp,cpp})"
+
+# The text surfaces written per request append into one caller-owned
+# buffer with std::to_chars: the RTL dump (src/backend/rtl.cpp), the HLI
+# text writer (src/hli/serialize.cpp) and the service's wire codec and
+# renderers (src/service/wire.cpp).  An <sstream> include or a string
+# stream in one of them brings back a stream and a copy per line, and
+# fails here with its file:line.  Comment lines do not count.
+stream_surfaces=(src/backend/rtl.cpp src/hli/serialize.cpp src/service/wire.cpp)
+streams=$(
+  grep -nHE '#[[:space:]]*include[[:space:]]*<sstream>|std::[io]?stringstream' \
+      "${stream_surfaces[@]}" \
+    | grep -vE '^[^:]+:[0-9]+:[[:space:]]*(//|/?\*)' \
+    || true
+)
+
+if [[ -n "$streams" ]]; then
+  echo "layering: string streams in a per-request text surface" >&2
+  echo "(append into the caller's std::string with std::to_chars instead)" >&2
+  echo "$streams" >&2
+  exit 1
+fi
+echo "layering: ok (no string streams in the RTL, HLI and wire text surfaces)"

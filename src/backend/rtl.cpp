@@ -1,6 +1,6 @@
 #include "backend/rtl.hpp"
 
-#include <sstream>
+#include <charconv>
 
 namespace hli::backend {
 
@@ -45,65 +45,133 @@ const char* opcode_name(Opcode op) {
   return "?";
 }
 
+// The printer appends straight into the caller's buffer: one
+// std::to_chars per number, no stream and no per-line string.  Every
+// field but the frame size fits in an int64, so two formatters serve all.
+
+void append_int(std::string& out, std::int64_t value) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
+
+void append_uint(std::string& out, std::uint64_t value) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
+
+/// `%g` with six significant digits: what `operator<<` prints for a
+/// double in the default stream state.
+void append_fp(std::string& out, double value) {
+  char buf[32];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), value,
+                                std::chars_format::general, 6)
+                      .ptr);
+}
+
+void append_reg(std::string& out, Reg reg) {
+  out += " r";
+  append_int(out, reg);
+}
+
+/// Bytes reserved per instruction line; the suite averages ~26.
+constexpr std::size_t kLineBytes = 32;
+
 }  // namespace
 
-std::string to_string(const Insn& insn) {
-  std::ostringstream out;
-  out << opcode_name(insn.op);
-  if (insn.is_float) out << ".f";
-  if (insn.rd != kNoReg) out << " r" << insn.rd;
-  if (insn.rs1 != kNoReg) out << " r" << insn.rs1;
-  if (insn.rs2 != kNoReg) out << " r" << insn.rs2;
+void append_rtl(std::string& out, const Insn& insn) {
+  out += opcode_name(insn.op);
+  if (insn.is_float) out += ".f";
+  if (insn.rd != kNoReg) append_reg(out, insn.rd);
+  if (insn.rs1 != kNoReg) append_reg(out, insn.rs1);
+  if (insn.rs2 != kNoReg) append_reg(out, insn.rs2);
   switch (insn.op) {
     case Opcode::LoadImm:
-      out << (insn.is_float ? " #" : " #");
+      out += " #";
       if (insn.is_float) {
-        out << insn.fimm;
+        append_fp(out, insn.fimm);
       } else {
-        out << insn.imm;
+        append_int(out, insn.imm);
       }
       break;
     case Opcode::LoadAddr:
-      out << (insn.label >= 0 ? " sym" : " frame") << (insn.label >= 0 ? insn.label : 0)
-          << "+" << insn.imm;
+      out += insn.label >= 0 ? " sym" : " frame";
+      append_int(out, insn.label >= 0 ? insn.label : 0);
+      out += '+';
+      append_int(out, insn.imm);
       break;
     case Opcode::Label:
     case Opcode::Jump:
     case Opcode::BranchZ:
     case Opcode::BranchNZ:
-      out << " L" << insn.label;
+      out += " L";
+      append_int(out, insn.label);
       break;
     case Opcode::Call:
-      out << " " << insn.callee << "(";
+      out += ' ';
+      out += insn.callee;
+      out += '(';
       for (std::size_t i = 0; i < insn.args.size(); ++i) {
-        if (i != 0) out << ", ";
-        out << "r" << insn.args[i];
+        if (i != 0) out += ", ";
+        out += 'r';
+        append_int(out, insn.args[i]);
       }
-      out << ")";
+      out += ')';
       break;
     case Opcode::Load:
     case Opcode::Store:
-      out << " [" << (insn.mem.base == MemBase::Symbol
-                          ? "sym" + std::to_string(insn.mem.symbol)
-                          : insn.mem.base == MemBase::Frame ? "frame" : "ptr")
-          << "+" << insn.mem.const_offset << " sz" << int(insn.mem.size) << "]";
-      if (insn.mem.hli_item != format::kNoItem) out << " item" << insn.mem.hli_item;
+      if (insn.mem.base == MemBase::Symbol) {
+        out += " [sym";
+        append_int(out, insn.mem.symbol);
+      } else {
+        out += insn.mem.base == MemBase::Frame ? " [frame" : " [ptr";
+      }
+      out += '+';
+      append_int(out, insn.mem.const_offset);
+      out += " sz";
+      append_int(out, insn.mem.size);
+      out += ']';
+      if (insn.mem.hli_item != format::kNoItem) {
+        out += " item";
+        append_int(out, insn.mem.hli_item);
+      }
       break;
     default:
       break;
   }
-  out << " @" << insn.line;
-  return std::move(out).str();
+  out += " @";
+  append_int(out, insn.line);
+}
+
+void append_rtl(std::string& out, const RtlFunction& func) {
+  out += "func ";
+  out += func.name;
+  out += " regs=";
+  append_int(out, func.num_regs);
+  out += " frame=";
+  append_uint(out, func.frame_size);
+  out += '\n';
+  for (const Insn& insn : func.insns) {
+    out += "  ";
+    append_rtl(out, insn);
+    out += '\n';
+  }
+}
+
+std::size_t rtl_size_hint(const RtlFunction& func) {
+  return (func.insns.size() + 1) * kLineBytes + func.name.size();
+}
+
+std::string to_string(const Insn& insn) {
+  std::string out;
+  append_rtl(out, insn);
+  return out;
 }
 
 std::string to_string(const RtlFunction& func) {
-  std::ostringstream out;
-  out << "func " << func.name << " regs=" << func.num_regs
-      << " frame=" << func.frame_size << "\n";
-  for (const Insn& insn : func.insns) {
-    out << "  " << to_string(insn) << "\n";
-  }
-  return std::move(out).str();
+  std::string out;
+  out.reserve(rtl_size_hint(func));
+  append_rtl(out, func);
+  return out;
 }
 
 std::vector<LoopSpan> loop_spans(const RtlFunction& func) {

@@ -208,7 +208,14 @@ struct CountedLoop {
 [[nodiscard]] std::optional<CountedLoop> match_counted_loop(
     const RtlFunction& func, const LoopSpan& span);
 
-/// Readable dump for debugging and golden tests.
+/// The RTL text dump: `hlic --dump-rtl`, the service's RtlDump field and
+/// the golden tests.  `append_rtl` writes one instruction (no newline) or
+/// one function (a header line, then each instruction indented, every
+/// line newline-terminated) onto the end of `out`; `to_string` returns
+/// the same text.  `rtl_size_hint` is the bytes to reserve for a function.
+void append_rtl(std::string& out, const Insn& insn);
+void append_rtl(std::string& out, const RtlFunction& func);
+[[nodiscard]] std::size_t rtl_size_hint(const RtlFunction& func);
 [[nodiscard]] std::string to_string(const Insn& insn);
 [[nodiscard]] std::string to_string(const RtlFunction& func);
 

@@ -397,9 +397,14 @@ std::string render_program_stats(const driver::CompiledProgram& compiled) {
 }
 
 std::string render_rtl(const driver::CompiledProgram& compiled) {
-  std::string out;
+  std::size_t bytes = 0;
   for (const backend::RtlFunction& func : compiled.rtl.functions) {
-    out += backend::to_string(func);
+    bytes += backend::rtl_size_hint(func);
+  }
+  std::string out;
+  out.reserve(bytes);
+  for (const backend::RtlFunction& func : compiled.rtl.functions) {
+    backend::append_rtl(out, func);
   }
   return out;
 }

@@ -264,7 +264,7 @@ class LoopDepOracle final : public backend::TraceSink {
 std::string rtl_dump(const backend::RtlProgram& rtl) {
   std::string out;
   for (const backend::RtlFunction& fn : rtl.functions) {
-    out += backend::to_string(fn);
+    backend::append_rtl(out, fn);
     out += '\n';
   }
   return out;
