@@ -158,8 +158,8 @@ BENCHMARK(BM_CompilePipeline);
 // recording (per-function + per-program sets, no tracer).
 void BM_CompilePipelineTelemetry(benchmark::State& state) {
   const std::string& source = swim().source;
-  const driver::PipelineOptions options =
-      driver::PipelineOptions::paper_table2().with_counters();
+  driver::PipelineOptions options = driver::PipelineOptions::paper_table2();
+  options.telemetry.counters = true;
   for (auto _ : state) {
     const driver::CompiledProgram compiled =
         driver::compile_source(source, options);

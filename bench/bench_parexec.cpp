@@ -181,8 +181,9 @@ int main(int argc, char** argv) {
     driver::PipelineOptions options;
     options.use_hli = true;
     options.exec_threads = 4;  // Attach plans; lanes are chosen per run.
-    const driver::CompiledProgram compiled = driver::compile_source(
-        workload.source, options.with_language(workload.language));
+    options.frontend_options.language = workload.language;
+    const driver::CompiledProgram compiled =
+        driver::compile_source(workload.source, options);
 
     // One instrumented run for the deterministic counts.  par_insns is
     // thread-count-invariant (chunking never changes the work), so any

@@ -30,8 +30,8 @@ struct CompileTimes {
 };
 
 CompileTimes time_production(const workloads::Workload& workload) {
-  const driver::PipelineOptions options =
-      driver::PipelineOptions::production().with_language(workload.language);
+  driver::PipelineOptions options = driver::PipelineOptions::production();
+  options.frontend_options.language = workload.language;
   CompileTimes times;
   for (unsigned trial = 0; trial < kTrials; ++trial) {
     {
@@ -40,8 +40,10 @@ CompileTimes time_production(const workloads::Workload& workload) {
       times.ms.push_back(timer.elapsed_ms());
     }
     telemetry::Tracer tracer;
+    driver::PipelineOptions traced = options;
+    traced.telemetry.tracer = &tracer;
     const benchutil::WallTimer timer;
-    (void)driver::compile_source(workload.source, options.with_tracer(&tracer));
+    (void)driver::compile_source(workload.source, traced);
     const double traced_us = timer.elapsed_ms() * 1000.0;
     times.sched2_share.push_back(
         static_cast<double>(tracer.total_us("sched2")) / traced_us);
@@ -64,10 +66,10 @@ int main(int argc, char** argv) {
               "native+RA", "HLI+RA", "speedup", "spills", "sched2 q",
               "prod ms", "sched2%");
   for (const auto& workload : workloads::all_workloads()) {
-    const driver::PipelineOptions native = driver::PipelineOptions::paper_table2()
-                                               .with_hli(false)
-                                               .with_regalloc(true);
-    const driver::PipelineOptions assisted = native.with_hli(true);
+    driver::PipelineOptions assisted = driver::PipelineOptions::paper_table2();
+    assisted.enable_regalloc = true;
+    driver::PipelineOptions native = assisted;
+    native.use_hli = false;
 
     const driver::CompiledProgram plain =
         driver::compile_source(workload.source, native);

@@ -198,9 +198,9 @@ int main(int argc, char** argv) {
   // The RTL dump hlid renders: every suite program under production().
   std::vector<driver::CompiledProgram> suite;
   const auto bench_program = [&](const workloads::Workload& workload) {
-    suite.push_back(driver::compile_source(
-        workload.source, driver::PipelineOptions::production().with_language(
-                             workload.language)));
+    driver::PipelineOptions options = driver::PipelineOptions::production();
+    options.frontend_options.language = workload.language;
+    suite.push_back(driver::compile_source(workload.source, options));
     row = bench_render("rtl:" + workload.name, {&suite.back(), 1});
     report.add(row.name, std::move(row.metrics));
   };

@@ -27,8 +27,8 @@ int main(int argc, char** argv) {
 
   // The paper configuration, with counters on: hli.bytes_exported from
   // the telemetry registry cross-checks the ProgramStats size column.
-  const driver::PipelineOptions options =
-      driver::PipelineOptions::paper_table2().with_counters();
+  driver::PipelineOptions options = driver::PipelineOptions::paper_table2();
+  options.telemetry.counters = true;
   const std::vector<driver::CompiledProgram> compiled =
       driver::compile_many(sources, options, args.jobs);
 

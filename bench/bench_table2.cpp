@@ -48,11 +48,12 @@ Row measure(const workloads::Workload& workload) {
   // The instrumented experiment via the named preset; counters on for
   // the HLI leg so the effectiveness column comes straight from the
   // telemetry registry (cross-checkable against `hlic --stats=json`).
-  const driver::PipelineOptions native =
-      driver::PipelineOptions::paper_table2().with_hli(false);
-  const driver::PipelineOptions assisted =
-      driver::PipelineOptions::paper_table2().with_counters();
-  const driver::PipelineOptions fallback = native.with_irdep_fallback();
+  driver::PipelineOptions native = driver::PipelineOptions::paper_table2();
+  native.use_hli = false;
+  driver::PipelineOptions assisted = driver::PipelineOptions::paper_table2();
+  assisted.telemetry.counters = true;
+  driver::PipelineOptions fallback = native;
+  fallback.irdep_fallback = true;
 
   const driver::CompiledProgram with_hli =
       driver::compile_source(workload.source, assisted);

@@ -17,15 +17,15 @@ using namespace hli;
 namespace {
 
 std::uint64_t cycles_for(const char* source, bool unroll, bool maintain_hli) {
-  const driver::PipelineOptions base = driver::PipelineOptions::paper_table2();
-  const driver::PipelineOptions options =
-      unroll ? base.with_unroll(4) : base.without_unroll();
+  driver::PipelineOptions options = driver::PipelineOptions::paper_table2();
+  options.enable_unroll = unroll;
+  options.unroll_factor = 4;
   driver::CompiledProgram compiled = driver::compile_source(source, options);
   if (unroll && !maintain_hli) {
     // Simulate "maintenance skipped": strip items from every duplicated
     // reference by recompiling with unrolling but scheduling natively.
-    const driver::PipelineOptions degraded = options.with_hli(false);
-    compiled = driver::compile_source(source, degraded);
+    options.use_hli = false;
+    compiled = driver::compile_source(source, options);
   }
   return driver::simulate(compiled, machine::r4600()).cycles;
 }

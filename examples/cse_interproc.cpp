@@ -36,9 +36,9 @@ int main() {
 )";
 
 int main() {
-  const driver::PipelineOptions native =
-      driver::PipelineOptions::paper_table2().with_hli(false);
   const driver::PipelineOptions assisted = driver::PipelineOptions::paper_table2();
+  driver::PipelineOptions native = assisted;
+  native.use_hli = false;  // Figure 5's flag_use_hli.
 
   const driver::CompiledProgram plain = driver::compile_source(kSource, native);
   const driver::CompiledProgram smart = driver::compile_source(kSource, assisted);

@@ -87,3 +87,25 @@ if [[ -n "$streams" ]]; then
   exit 1
 fi
 echo "layering: ok (no string streams in the RTL, HLI and wire text surfaces)"
+
+# Every numeric command-line value in tools/ goes through the one checked
+# parser, tools::parse_number (tools/options.hpp): digits only, a range,
+# and a diagnostic with exit status 2 otherwise.  std::stoi/stol/stoul/
+# stoull throw on a typo and abort the tool; atoi/atol turn it into 0.
+# Either one in tools/ fails here with its file:line.  Comment lines do
+# not count.
+unchecked=$(
+  grep -rnE 'std::sto(i|l|ll|ul|ull)[[:space:]]*\(|\bato(i|l|ll)[[:space:]]*\(' \
+      --include='*.hpp' --include='*.cpp' --include='*.h' --include='*.cc' \
+      tools \
+    | grep -vE '^[^:]+:[0-9]+:[[:space:]]*(//|/?\*)' \
+    || true
+)
+
+if [[ -n "$unchecked" ]]; then
+  echo "layering: unchecked number parsing in tools/" >&2
+  echo "(parse flag values with tools::parse_number instead)" >&2
+  echo "$unchecked" >&2
+  exit 1
+fi
+echo "layering: ok (tools/ parse numbers only through tools::parse_number)"

@@ -252,9 +252,8 @@ Rejection plan_loop(const irdep::ProgramDepInfo& prog, FunctionDepInfo& fdi,
 
 }  // namespace
 
-PlanStats parallelize_function(const irdep::ProgramDepInfo& prog,
-                               RtlFunction& func, const PlanOptions& options) {
-  PlanStats stats;
+void parallelize_function(const irdep::ProgramDepInfo& prog, RtlFunction& func,
+                          const PlanOptions& options) {
   func.parexec.clear();
   FunctionDepInfo fdi(prog, func);
   const FunctionModel& model = fdi.model();
@@ -289,16 +288,9 @@ PlanStats parallelize_function(const irdep::ProgramDepInfo& prog,
           plan_loop(prog, fdi, func, loop, options.view, plan);
       if (rejected) {
         reason = rejected.reason;
-        ++stats.rejected;
         c_plans_rejected.add();
       } else {
-        if (plan.doall) {
-          ++stats.planned_doall;
-          c_plans_doall.add();
-        } else {
-          ++stats.planned_doacross;
-          c_plans_doacross.add();
-        }
+        (plan.doall ? c_plans_doall : c_plans_doacross).add();
         if (report != nullptr) {
           report->planned = true;
           report->plan_class = plan.doall ? irdep::LoopClass::Doall
@@ -317,7 +309,6 @@ PlanStats parallelize_function(const irdep::ProgramDepInfo& prog,
       report->plan_reason = reason;
     }
   }
-  return stats;
 }
 
 }  // namespace hli::backend::parexec

@@ -44,16 +44,10 @@ struct PlanOptions {
   std::vector<irdep::LoopReport>* reports = nullptr;
 };
 
-struct PlanStats {
-  std::uint64_t planned_doall = 0;
-  std::uint64_t planned_doacross = 0;
-  std::uint64_t rejected = 0;  ///< Innermost canonical loops that failed.
-};
-
 /// Fills `func.parexec` with every provable plan.  Idempotent: clears
-/// previous plans first.
-PlanStats parallelize_function(const irdep::ProgramDepInfo& prog,
-                               RtlFunction& func,
-                               const PlanOptions& options = {});
+/// previous plans first.  The parexec.plans_* counters record how many
+/// loops were planned DOALL or DOACROSS and how many were rejected.
+void parallelize_function(const irdep::ProgramDepInfo& prog, RtlFunction& func,
+                          const PlanOptions& options = {});
 
 }  // namespace hli::backend::parexec

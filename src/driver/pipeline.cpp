@@ -16,7 +16,7 @@ namespace hli::driver {
 
 using namespace hli::backend;
 
-// -- PipelineOptions: presets, fluent layer, validation ---------------------
+// -- PipelineOptions: presets, validation ---------------------
 
 PipelineOptions PipelineOptions::paper_table2() { return PipelineOptions{}; }
 
@@ -41,125 +41,15 @@ PipelineOptions PipelineOptions::frontend_only() {
   return options;
 }
 
-PipelineOptions PipelineOptions::with_hli(bool on) const {
-  PipelineOptions copy = *this;
-  copy.use_hli = on;
-  return copy;
-}
-
-PipelineOptions PipelineOptions::with_verify(VerifyMode mode) const {
-  PipelineOptions copy = *this;
-  copy.verify_hli = mode;
-  return copy;
-}
-
-PipelineOptions PipelineOptions::with_encoding(HliEncoding encoding) const {
-  PipelineOptions copy = *this;
-  copy.hli_encoding = encoding;
-  return copy;
-}
-
-PipelineOptions PipelineOptions::with_store(const hli::HliStore* store) const {
-  PipelineOptions copy = *this;
-  copy.hli_store = store;
-  return copy;
-}
-
-PipelineOptions PipelineOptions::with_batch_queries(bool on) const {
-  PipelineOptions out = *this;
-  out.batch_queries = on;
-  return out;
-}
-
-PipelineOptions PipelineOptions::with_cse(bool on) const {
-  PipelineOptions copy = *this;
-  copy.enable_cse = on;
-  return copy;
-}
-
-PipelineOptions PipelineOptions::with_constfold(bool on) const {
-  PipelineOptions copy = *this;
-  copy.enable_constfold = on;
-  return copy;
-}
-
-PipelineOptions PipelineOptions::with_dce(bool on) const {
-  PipelineOptions copy = *this;
-  copy.enable_dce = on;
-  return copy;
-}
-
-PipelineOptions PipelineOptions::with_licm(bool on) const {
-  PipelineOptions copy = *this;
-  copy.enable_licm = on;
-  return copy;
-}
-
-PipelineOptions PipelineOptions::with_unroll(unsigned factor) const {
-  PipelineOptions copy = *this;
-  copy.enable_unroll = true;
-  copy.unroll_factor = factor;
-  return copy;
-}
-
-PipelineOptions PipelineOptions::without_unroll() const {
-  PipelineOptions copy = *this;
-  copy.enable_unroll = false;
-  return copy;
-}
-
-PipelineOptions PipelineOptions::with_sched(bool on) const {
-  PipelineOptions copy = *this;
-  copy.enable_sched = on;
-  return copy;
-}
-
-PipelineOptions PipelineOptions::with_audit_deps(VerifyMode mode) const {
-  PipelineOptions copy = *this;
-  copy.audit_deps = mode;
-  return copy;
-}
-
-PipelineOptions PipelineOptions::with_irdep_fallback(bool on) const {
-  PipelineOptions copy = *this;
-  copy.irdep_fallback = on;
-  return copy;
-}
-
-PipelineOptions PipelineOptions::with_analyze_loops(bool on) const {
-  PipelineOptions copy = *this;
-  copy.analyze_loops = on;
-  return copy;
-}
-
-PipelineOptions PipelineOptions::with_regalloc(bool on) const {
-  PipelineOptions copy = *this;
-  copy.enable_regalloc = on;
-  return copy;
-}
-
-PipelineOptions PipelineOptions::with_exec_threads(unsigned n) const {
-  PipelineOptions copy = *this;
-  copy.exec_threads = n;
-  return copy;
-}
-
-PipelineOptions PipelineOptions::with_machine(
-    const machine::MachineDesc& machine) const {
-  PipelineOptions copy = *this;
-  copy.sched_machine = machine;
-  return copy;
-}
-
 PipelineOptions PipelineOptions::with_language(frontend::Language language) const {
   PipelineOptions copy = *this;
   copy.frontend_options.language = language;
   return copy;
 }
 
-PipelineOptions PipelineOptions::with_open_world_params(bool on) const {
+PipelineOptions PipelineOptions::with_exec_threads(unsigned n) const {
   PipelineOptions copy = *this;
-  copy.frontend_options.open_world_params = on;
+  copy.exec_threads = n;
   return copy;
 }
 
@@ -175,37 +65,27 @@ PipelineOptions PipelineOptions::with_tracer(telemetry::Tracer* tracer) const {
   return copy;
 }
 
-PipelineOptions PipelineOptions::with_unit_cache(UnitCache* cache) const {
-  PipelineOptions copy = *this;
-  copy.unit_cache = cache;
-  return copy;
-}
-
 std::vector<std::string> PipelineOptions::validate() const {
   std::vector<std::string> problems;
   if (hli_store != nullptr && !use_hli) {
     problems.emplace_back(
         "hli_store is set but use_hli is false: the external store would be "
-        "imported and then ignored by every pass; enable HLI "
-        "(with_hli(true)) or drop the store (with_store(nullptr))");
+        "imported and then ignored by every pass; set use_hli = true (drop "
+        "--no-hli) or hli_store = nullptr (drop --store)");
   }
-  if (enable_unroll && unroll_factor == 0) {
-    problems.emplace_back(
-        "enable_unroll is set but unroll_factor is 0: a loop body cannot be "
-        "replicated zero times; use with_unroll(N) with N >= 2, or "
-        "without_unroll()");
-  }
-  if (enable_unroll && unroll_factor == 1) {
-    problems.emplace_back(
-        "enable_unroll is set with unroll_factor 1: a single copy is an "
-        "expensive no-op; use with_unroll(N) with N >= 2, or "
-        "without_unroll()");
+  if (enable_unroll && unroll_factor < 2) {
+    problems.push_back(
+        "enable_unroll is set with unroll_factor " +
+        std::to_string(unroll_factor) +
+        ": unrolling needs at least two copies of a loop body; set "
+        "unroll_factor >= 2 (--unroll=N with N >= 2) or enable_unroll = "
+        "false");
   }
   if (exec_threads == 0) {
     problems.emplace_back(
         "exec_threads is 0: the calling thread is always lane 0, so a run "
-        "needs at least one lane; use with_exec_threads(N) with N >= 1 "
-        "(1 = serial execution)");
+        "needs at least one lane; set exec_threads >= 1 (--exec-threads=N; "
+        "1 = serial execution)");
   }
   if (frontend_options.language == frontend::Language::Basic &&
       frontend_options.open_world_params) {
@@ -219,8 +99,8 @@ std::vector<std::string> PipelineOptions::validate() const {
     problems.emplace_back(
         "audit_deps is on but use_hli is false: the audit cross-checks HLI "
         "independence claims, and without HLI there is nothing to audit; "
-        "enable HLI (with_hli(true)) or drop the audit "
-        "(with_audit_deps(VerifyMode::Off))");
+        "set use_hli = true (drop --no-hli) or audit_deps = VerifyMode::Off "
+        "(drop --audit-deps)");
   }
   return problems;
 }
@@ -249,37 +129,6 @@ std::uint64_t UnitCacheKey::hash() const {
   std::uint64_t h = support::fnv1a64_mix(rtl_fp, support::kFnv64Basis);
   h = support::fnv1a64_mix(hli_fp, h);
   return support::fnv1a64_mix(options_fp, h);
-}
-
-std::size_t CachedUnit::approx_bytes() const {
-  std::size_t bytes = sizeof(CachedUnit);
-  bytes += rtl.name.size() + verify_log.size() + audit_log.size();
-  bytes += rtl.insns.capacity() * sizeof(backend::Insn);
-  for (const backend::Insn& insn : rtl.insns) {
-    bytes += insn.callee.size() + insn.args.capacity() * sizeof(backend::Reg);
-  }
-  bytes += rtl.parexec.capacity() * sizeof(backend::LoopPlan);
-  bytes += (rtl.param_regs.capacity() + rtl.param_is_float.capacity()) *
-           sizeof(backend::Reg);
-  bytes += hli.line_table.item_count() * sizeof(format::ItemEntry);
-  for (const format::RegionEntry& region : hli.regions) {
-    bytes += sizeof(format::RegionEntry);
-    bytes += region.classes.capacity() * sizeof(format::EquivClass);
-    for (const format::EquivClass& cls : region.classes) {
-      bytes += cls.display.size() + cls.base.size() +
-               (cls.member_items.capacity() + cls.member_subclasses.capacity()) *
-                   sizeof(format::ItemId);
-    }
-    bytes += region.aliases.capacity() * sizeof(format::AliasEntry);
-    bytes += region.lcdds.capacity() * sizeof(format::LcddEntry);
-    bytes += region.call_effects.capacity() * sizeof(format::CallEffectEntry);
-  }
-  for (const irdep::LoopReport& report : loop_reports) {
-    bytes += sizeof(irdep::LoopReport) + report.function.size() +
-             report.irdep_reason.size() + report.combined_reason.size() +
-             report.plan_reason.size();
-  }
-  return bytes;
 }
 
 namespace {

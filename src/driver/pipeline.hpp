@@ -98,18 +98,16 @@ class UnitCache {
   virtual void insert(const UnitCacheKey& key, CachedUnit value) = 0;
 };
 
-/// Pipeline configuration.  Construct from a named preset and refine with
-/// the fluent `with_*` layer:
+/// Pipeline configuration: start from a named preset and assign fields.
 ///
-///   auto options = driver::PipelineOptions::paper_table2()
-///                      .with_verify(driver::VerifyMode::Fatal)
-///                      .with_unroll(4);
+///   auto options = driver::PipelineOptions::paper_table2();
+///   options.verify_hli = driver::VerifyMode::Fatal;
+///   options.enable_unroll = true;
+///   options.unroll_factor = 4;
 ///
 /// `compile_source` calls `validate()` and rejects incoherent
-/// combinations with actionable diagnostics.  The public fields remain
-/// writable as a compatibility layer for existing callers; new code
-/// should prefer the presets + `with_*` so every constructed
-/// configuration passes through `validate()`'s vocabulary.
+/// combinations with diagnostics that name the fields (and the CLI flags
+/// that set them).
 struct PipelineOptions {
   bool use_hli = true;       ///< Figure 5's flag_use_hli, across all passes.
   VerifyMode verify_hli = VerifyMode::Off;
@@ -201,46 +199,12 @@ struct PipelineOptions {
   /// the interchange file a later back-end run would import.
   [[nodiscard]] static PipelineOptions frontend_only();
 
-  // -- Fluent refinement (each returns a modified copy) -------------------
-
-  [[nodiscard]] PipelineOptions with_hli(bool on) const;
-  [[nodiscard]] PipelineOptions with_verify(VerifyMode mode) const;
-  [[nodiscard]] PipelineOptions with_encoding(HliEncoding encoding) const;
-  /// Imports from `store` instead of generating HLI; implies use_hli
-  /// stays as-is (validate() rejects a store with use_hli off).
-  [[nodiscard]] PipelineOptions with_store(const hli::HliStore* store) const;
-  [[nodiscard]] PipelineOptions with_cse(bool on) const;
-  /// Per-block conflict-matrix query batching (docs/query-batching.md);
-  /// `false` selects the scalar test reference.
-  [[nodiscard]] PipelineOptions with_batch_queries(bool on) const;
-  [[nodiscard]] PipelineOptions with_constfold(bool on) const;
-  [[nodiscard]] PipelineOptions with_dce(bool on) const;
-  [[nodiscard]] PipelineOptions with_licm(bool on) const;
-  /// Enables unrolling at `factor` (>= 2; validate() rejects 0 and 1).
-  [[nodiscard]] PipelineOptions with_unroll(unsigned factor = 4) const;
-  [[nodiscard]] PipelineOptions without_unroll() const;
-  [[nodiscard]] PipelineOptions with_sched(bool on) const;
-  /// Independent-analyzer audit of HLI independence claims (--audit-deps).
-  [[nodiscard]] PipelineOptions with_audit_deps(VerifyMode mode) const;
-  /// Independent analyzer as a fallback dependence oracle for the passes.
-  [[nodiscard]] PipelineOptions with_irdep_fallback(bool on = true) const;
-  /// DOALL/DOACROSS loop classification into loop_reports.
-  [[nodiscard]] PipelineOptions with_analyze_loops(bool on = true) const;
-  [[nodiscard]] PipelineOptions with_regalloc(bool on) const;
-  /// Parallel loop execution with `n` lanes (>= 1; validate() rejects 0).
-  [[nodiscard]] PipelineOptions with_exec_threads(unsigned n) const;
-  [[nodiscard]] PipelineOptions with_machine(
-      const machine::MachineDesc& machine) const;
-  /// Source language (--frontend=c|basic).
+  // Only hlibench calls these, and its sources change only with a declared
+  // benchmark change; they go with ROADMAP item 2's.
   [[nodiscard]] PipelineOptions with_language(frontend::Language language) const;
-  /// Open-world pointer-parameter linkage (C-only; see
-  /// frontend::FrontendOptions::open_world_params).
-  [[nodiscard]] PipelineOptions with_open_world_params(bool on = true) const;
-  /// Collect per-function + aggregate counters into the result.
+  [[nodiscard]] PipelineOptions with_exec_threads(unsigned n) const;
   [[nodiscard]] PipelineOptions with_counters(bool on = true) const;
   [[nodiscard]] PipelineOptions with_tracer(telemetry::Tracer* tracer) const;
-  /// Content-addressed unit cache (nullptr disables).
-  [[nodiscard]] PipelineOptions with_unit_cache(UnitCache* cache) const;
 
   /// Coherence check: every returned string is one actionable diagnostic
   /// (empty vector = valid).  compile_source/compile_many run this and
@@ -309,9 +273,6 @@ struct CachedUnit {
   std::vector<irdep::LoopReport> loop_reports;
   std::string verify_log;
   std::string audit_log;
-
-  /// Rough in-memory footprint, for byte-bounded LRU policies.
-  [[nodiscard]] std::size_t approx_bytes() const;
 };
 
 /// Fingerprint of every PipelineOptions field that can alter a unit's

@@ -82,12 +82,6 @@ class RegionTree {
   [[nodiscard]] const std::vector<std::unique_ptr<Region>>& regions() const {
     return regions_;
   }
-  [[nodiscard]] Region* region_by_id(std::uint32_t id) const {
-    for (const auto& r : regions_) {
-      if (r->id() == id) return r.get();
-    }
-    return nullptr;
-  }
   /// Region whose loop_stmt is `stmt`, or null.
   [[nodiscard]] Region* region_for_loop(const Stmt* stmt) const {
     for (const auto& r : regions_) {

@@ -64,7 +64,11 @@ class HliStore {
 
   /// The entry for `name`, decoding it on first request; nullptr when the
   /// store has no such unit.  Thread-safe; the pointer stays valid (and
-  /// the entry unchanged) for the store's lifetime.
+  /// the entry unchanged) for the store's lifetime.  Throws
+  /// support::CompileError, naming the unit and the ID, when the unit
+  /// names an item, class or region ID past what it declares: the query
+  /// view sizes its arrays by those IDs, so an unchecked file could make
+  /// the importer allocate gigabytes.
   [[nodiscard]] const format::HliEntry* get(const std::string& name) const;
 
   /// Content fingerprint of `name`'s serialized HLI — the identity the
@@ -77,6 +81,7 @@ class HliStore {
       const std::string& name) const;
 
   /// Materializes every unit into an HliFile, preserving on-disk order.
+  /// Throws like get() on a unit past the import bound.
   [[nodiscard]] format::HliFile import_all() const;
 
   /// Units decoded so far — the laziness observable the demand-driven
@@ -89,15 +94,6 @@ class HliStore {
   /// `get` honors its decode-once contract, exactly 1).
   [[nodiscard]] std::size_t decode_count(const std::string& name) const;
 
-  /// Snapshot of this store's `store.*` counters (units_decoded,
-  /// bytes_mapped) — the atomic cross-thread accounting a shared
-  /// compile_many store accumulates.  Decodes are ALSO charged to the
-  /// decoding thread's ambient CounterSet, so a per-compilation store
-  /// attributes its work to that compilation deterministically.
-  [[nodiscard]] telemetry::CounterSet telemetry_snapshot() const {
-    return counters_.snapshot();
-  }
-
  private:
   explicit HliStore(support::MappedFile file);
   void init(std::string_view bytes);
@@ -107,11 +103,13 @@ class HliStore {
     std::size_t index = 0;  ///< Position in the container's unit index.
     mutable std::once_flag once;
     mutable format::HliEntry entry;
+    mutable std::string error;  ///< Import-bound violation, if any.
     mutable std::atomic<std::uint32_t> decodes{0};
   };
 
   const Slot* find_slot(const std::string& name) const;
-  void decode_slot(const Slot& slot) const;
+  /// Decodes `slot` once and returns its entry; throws its bound error.
+  const format::HliEntry& decode_slot(const Slot& slot) const;
 
   support::MappedFile file_;  ///< Backing storage when open()ed from disk.
   std::string owned_;         ///< Backing storage for in-memory bytes.

@@ -82,7 +82,6 @@ class Server {
   [[nodiscard]] std::vector<std::uint64_t> latency_samples_us() const;
 
   [[nodiscard]] CompileCache& unit_cache() { return unit_cache_; }
-  [[nodiscard]] ResponseCache& response_cache() { return response_cache_; }
 
   /// Units decoded so far by the shared store registered for `path`
   /// (0 when no request has opened it).  This is the decode-once-

@@ -35,9 +35,6 @@ class MappedFile {
                : std::string_view(fallback_.data(), fallback_.size());
   }
 
-  /// True when the contents are an actual mmap, false on the heap fallback.
-  [[nodiscard]] bool is_mapped() const { return map_ != nullptr; }
-
  private:
   void reset() noexcept;
 

@@ -484,10 +484,11 @@ DiffResult run_differential(const std::string& source,
   DiffResult result;
 
   {
-    const DiffConfig base = baseline_config();
+    DiffConfig base = baseline_config();
+    base.options.frontend_options.language = language;
     try {
       driver::CompiledProgram compiled =
-          driver::compile_source(source, base.options.with_language(language));
+          driver::compile_source(source, base.options);
       result.baseline = observe(compiled, max_insns);
     } catch (const support::CompileError& e) {
       result.invalid_input = true;
@@ -505,7 +506,8 @@ DiffResult run_differential(const std::string& source,
   }
 
   for (const DiffConfig& cfg : matrix) {
-    driver::PipelineOptions options = cfg.options.with_language(language);
+    driver::PipelineOptions options = cfg.options;
+    options.frontend_options.language = language;
     std::unique_ptr<HliStore> store;
     RunObservation obs;
     try {

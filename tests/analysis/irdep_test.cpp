@@ -276,7 +276,8 @@ TEST(IrdepClassifyTest, CombinedColumnKeepsSameClassCarriedDeps) {
   // entries).  The combined column must not read that emptiness as an
   // independence claim and upgrade the loop to DOALL — the dynamic
   // oracle in the differential harness caught exactly that.
-  auto options = driver::PipelineOptions::frontend_only().with_analyze_loops();
+  auto options = driver::PipelineOptions::frontend_only();
+  options.analyze_loops = true;
   const auto c = driver::compile_source(
       "int g1;\nint g2;\n"
       "int main() {\n"

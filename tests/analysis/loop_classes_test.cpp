@@ -46,8 +46,8 @@ int rank(LoopClass c) {
 SuiteSweep sweep() {
   SuiteSweep out;
   std::ostringstream report;
-  const auto options =
-      driver::PipelineOptions::frontend_only().with_analyze_loops();
+  auto options = driver::PipelineOptions::frontend_only();
+  options.analyze_loops = true;
   for (const auto& workload : workloads::all_workloads()) {
     const driver::CompiledProgram compiled =
         driver::compile_source(workload.source, options);
@@ -102,10 +102,10 @@ TEST(LoopClassesTest, HliSharpensAtLeastOneLoop) {
 }
 
 TEST(LoopClassesTest, AuditIsCleanOnEveryWorkload) {
-  auto options = driver::PipelineOptions()
-                     .with_audit_deps(driver::VerifyMode::Fatal)
-                     .with_unroll(4)
-                     .with_regalloc(true);
+  driver::PipelineOptions options;
+  options.audit_deps = driver::VerifyMode::Fatal;
+  options.enable_unroll = true;
+  options.enable_regalloc = true;
   for (const auto& workload : workloads::all_workloads()) {
     EXPECT_NO_THROW({
       const auto compiled = driver::compile_source(workload.source, options);

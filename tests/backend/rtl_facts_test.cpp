@@ -227,13 +227,11 @@ std::vector<RtlProgram> programs_of(const workloads::Workload& workload) {
   frontend::FrontendOptions fe;
   fe.language = workload.language;
   out.push_back(frontend::analyze_unit(workload.source, fe).rtl);
-  for (const driver::PipelineOptions& options :
+  for (driver::PipelineOptions options :
        {driver::PipelineOptions::paper_table2(),
         driver::PipelineOptions::production()}) {
-    out.push_back(
-        driver::compile_source(workload.source,
-                               options.with_language(workload.language))
-            .rtl);
+    options.frontend_options.language = workload.language;
+    out.push_back(driver::compile_source(workload.source, options).rtl);
   }
   return out;
 }
@@ -259,12 +257,10 @@ TEST_P(RtlSuiteTest, NoInstructionSetsAFieldItsOpcodeDoesNotUse) {
 TEST_P(RtlSuiteTest, CountedLoopsAgreeWithIrdepAndTheParexecPlans) {
   const workloads::Workload& workload = *GetParam();
   std::vector<RtlProgram> programs = programs_of(workload);
-  programs.push_back(
-      driver::compile_source(workload.source,
-                             driver::PipelineOptions::paper_table2()
-                                 .with_language(workload.language)
-                                 .with_exec_threads(4))
-          .rtl);
+  driver::PipelineOptions x4 = driver::PipelineOptions::paper_table2();
+  x4.frontend_options.language = workload.language;
+  x4.exec_threads = 4;
+  programs.push_back(driver::compile_source(workload.source, x4).rtl);
   for (const RtlProgram& prog : programs) {
     for (const RtlFunction& func : prog.functions) {
       const std::vector<LoopSpan> spans = loop_spans(func);

@@ -330,11 +330,12 @@ class RtlPrintSuiteTest
 
 TEST_P(RtlPrintSuiteTest, EveryInstructionMatchesTheStreamPrinter) {
   const workloads::Workload& workload = *GetParam();
-  for (const driver::PipelineOptions& preset :
+  for (driver::PipelineOptions options :
        {driver::PipelineOptions::paper_table2(),
         driver::PipelineOptions::production()}) {
-    const driver::CompiledProgram compiled = driver::compile_source(
-        workload.source, preset.with_language(workload.language));
+    options.frontend_options.language = workload.language;
+    const driver::CompiledProgram compiled =
+        driver::compile_source(workload.source, options);
     std::string want;
     for (const RtlFunction& func : compiled.rtl.functions) {
       for (std::size_t k = 0; k < func.insns.size(); ++k) {

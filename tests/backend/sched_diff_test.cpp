@@ -76,13 +76,15 @@ class SchedSuiteTest
 // allocator and sched2, comparing the two schedulers at each pass.
 TEST_P(SchedSuiteTest, EveryBlockMatchesTheReferenceAtBothPasses) {
   const workloads::Workload& workload = *GetParam();
-  for (const driver::PipelineOptions& preset :
+  for (driver::PipelineOptions options :
        {driver::PipelineOptions::paper_table2(),
         driver::PipelineOptions::production()}) {
-    const driver::PipelineOptions options =
-        preset.with_language(workload.language);
-    driver::CompiledProgram compiled = driver::compile_source(
-        workload.source, options.with_sched(false).with_regalloc(false));
+    options.frontend_options.language = workload.language;
+    driver::PipelineOptions unscheduled = options;
+    unscheduled.enable_sched = false;
+    unscheduled.enable_regalloc = false;
+    driver::CompiledProgram compiled =
+        driver::compile_source(workload.source, unscheduled);
     for (RtlFunction& func : compiled.rtl.functions) {
       const format::HliEntry* entry = compiled.hli.find_unit(func.name);
       if (entry == nullptr) continue;  // The pipeline schedules it not.
@@ -278,8 +280,10 @@ RtlFunction random_function(Rng& rng, const ItemPools& pools) {
 }
 
 TEST(SchedRandomTest, RandomBlocksMatchTheReference) {
-  const driver::CompiledProgram compiled = driver::compile_source(
-      kItemSource, driver::PipelineOptions::paper_table2().with_sched(false));
+  driver::PipelineOptions options = driver::PipelineOptions::paper_table2();
+  options.enable_sched = false;
+  const driver::CompiledProgram compiled =
+      driver::compile_source(kItemSource, options);
   const RtlFunction* main_func = compiled.rtl.find_function("main");
   const format::HliEntry* entry = compiled.hli.find_unit("main");
   ASSERT_NE(main_func, nullptr);

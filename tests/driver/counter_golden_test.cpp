@@ -45,10 +45,11 @@ std::vector<std::pair<std::string, std::string>> counter_rows(
        {std::pair{"paper_table2", PipelineOptions::paper_table2()},
         std::pair{"production", PipelineOptions::production()}}) {
     for (const bool batch : {true, false}) {
-      const CompiledProgram compiled = compile_source(
-          workload.source, preset.with_language(workload.language)
-                               .with_batch_queries(batch)
-                               .with_counters());
+      PipelineOptions options = preset;
+      options.frontend_options.language = workload.language;
+      options.batch_queries = batch;
+      options.telemetry.counters = true;
+      const CompiledProgram compiled = compile_source(workload.source, options);
       std::ostringstream key;
       key << workload.name << ' ' << label << " batch=" << batch;
       std::ostringstream row;

@@ -92,15 +92,18 @@ struct Config {
 };
 
 std::vector<Config> configs() {
+  PipelineOptions x4 = PipelineOptions::paper_table2();
+  x4.exec_threads = 4;
   return {{"paper_table2", PipelineOptions::paper_table2()},
           {"production", PipelineOptions::production()},
-          {"paper_table2_x4", PipelineOptions::paper_table2().with_exec_threads(4)}};
+          {"paper_table2_x4", x4}};
 }
 
 std::string digest_row(const workloads::Workload& workload,
                        const Config& config) {
-  const CompiledProgram out = compile_source(
-      workload.source, config.options.with_language(workload.language));
+  PipelineOptions options = config.options;
+  options.frontend_options.language = workload.language;
+  const CompiledProgram out = compile_source(workload.source, options);
   std::uint64_t entries = kFnv64Basis;
   for (const auto& entry : out.hli.entries) {
     entries = fnv1a64(serialize::write_entry(entry), entries);

@@ -140,8 +140,8 @@ TEST(ParexecCoverageTest, EverySuitePlanCountsItsTripsInClosedForm) {
       PipelineOptions options;
       options.use_hli = true;
       options.exec_threads = 4;
-      const CompiledProgram compiled =
-          compile_source(w.source, options.with_language(w.language));
+      options.frontend_options.language = w.language;
+      const CompiledProgram compiled = compile_source(w.source, options);
       for (const backend::RtlFunction& func : compiled.rtl.functions) {
         for (const backend::LoopPlan& plan : func.parexec) {
           EXPECT_NE(backend::parexec::closed_form_compare(func, plan),

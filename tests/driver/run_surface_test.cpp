@@ -47,12 +47,12 @@ std::vector<const workloads::Workload*> suite() {
 }
 
 std::string surface_row(const workloads::Workload& workload) {
-  const PipelineOptions base =
-      PipelineOptions::paper_table2().with_language(workload.language);
+  PipelineOptions options = PipelineOptions::paper_table2();
+  options.frontend_options.language = workload.language;
   std::ostringstream row;
   row << workload.name;
 
-  const CompiledProgram serial = compile_source(workload.source, base);
+  const CompiledProgram serial = compile_source(workload.source, options);
   const backend::RunResult run = backend::run_program(serial.rtl);
   row << " ok=" << run.ok << " ret=" << run.return_value
       << " insns=" << run.dynamic_insns << " hash=" << run.output_hash
@@ -64,8 +64,8 @@ std::string surface_row(const workloads::Workload& workload) {
   row << " r4600=" << simulate(serial, machine::r4600()).cycles
       << " r10000=" << simulate(serial, machine::r10000()).cycles;
 
-  const CompiledProgram planned =
-      compile_source(workload.source, base.with_exec_threads(4));
+  options.exec_threads = 4;
+  const CompiledProgram planned = compile_source(workload.source, options);
   backend::InterpOptions lanes;
   lanes.exec_threads = 4;
   const backend::RunResult par =

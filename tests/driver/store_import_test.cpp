@@ -3,7 +3,10 @@
 // only the units it compiles, stay decode-once under concurrent
 // compile_many, and produce output byte-identical to the built-in
 // text channel — and to the HLIB binary channel — for every workload.
+// A unit past the import bound fails the compile that imports it.
 #include <gtest/gtest.h>
+
+#include <cstdint>
 
 #include "backend/rtl.hpp"
 #include "driver/parallel.hpp"
@@ -12,6 +15,8 @@
 #include "frontend/hligen.hpp"
 #include "hli/serialize.hpp"
 #include "hli/store.hpp"
+#include "support/diagnostics.hpp"
+#include "tests/testutil/hlib_patch.hpp"
 #include "workloads/workloads.hpp"
 
 namespace hli::driver {
@@ -152,6 +157,42 @@ TEST(StoreImportTest, TextAndBinaryChannelsCompileByteIdentical) {
         << workload.name;
     EXPECT_EQ(run_text.output_hash, run_binary.output_hash)
         << workload.name;
+  }
+}
+
+TEST(StoreImportTest, UnitPastTheImportBoundFailsItsCompile) {
+  const HliStore store{
+      testutil::hlib_with_next_id(build_combined_hlib(), UINT32_MAX)};
+  PipelineOptions options;
+  options.hli_store = &store;
+  try {
+    (void)compile_source(unit_sources()[0], options);
+    FAIL() << "a next_id of 4294967295 reached the query view";
+  } catch (const support::CompileError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("HLI unit 'alpha'"), std::string::npos) << what;
+    EXPECT_NE(what.find("next_id 4294967295"), std::string::npos) << what;
+  }
+  // Only the patched unit is refused.
+  EXPECT_NO_THROW((void)compile_source(unit_sources()[1], options));
+}
+
+TEST(StoreImportTest, SuiteUnitsMeetTheImportBound) {
+  // Every unit the two front-ends emit for the 17 programs declares
+  // exactly the IDs it names, with and without class merging.
+  std::vector<workloads::Workload> programs = workloads::all_workloads();
+  for (const auto& w : workloads::basic_workloads()) programs.push_back(w);
+  for (const bool merge : {true, false}) {
+    for (const workloads::Workload& w : programs) {
+      frontend::FrontendOptions fe;
+      fe.language = w.language;
+      fe.merge_equal_range_classes = merge;
+      const HliStore store{
+          frontend::analyze_unit(w.source, fe, HliEncoding::Binary).hli_bytes};
+      for (const std::string& unit : store.unit_names()) {
+        EXPECT_NO_THROW((void)store.get(unit)) << w.name << " " << unit;
+      }
+    }
   }
 }
 

@@ -42,8 +42,8 @@ void expect_identical_stats(const CompilationStats& serial,
 
 TEST(TelemetryDeterminismTest, SerialAndParallelStatsAreIdentical) {
   const std::vector<std::string> sources = all_sources();
-  const PipelineOptions options =
-      PipelineOptions::paper_table2().with_counters();
+  PipelineOptions options = PipelineOptions::paper_table2();
+  options.telemetry.counters = true;
 
   const std::vector<CompiledProgram> serial =
       compile_many(sources, options, /*jobs=*/1);
@@ -68,8 +68,8 @@ TEST(TelemetryDeterminismTest, ProductionPresetIsDeterministicToo) {
   // The full -O2 shape exercises unroll/regalloc/sched2 counters and the
   // binary interchange container.
   const std::vector<std::string> sources = all_sources();
-  const PipelineOptions options =
-      PipelineOptions::production().with_counters();
+  PipelineOptions options = PipelineOptions::production();
+  options.telemetry.counters = true;
   const std::vector<CompiledProgram> serial =
       compile_many(sources, options, /*jobs=*/1);
   const std::vector<CompiledProgram> parallel =
@@ -94,8 +94,9 @@ TEST(TelemetryDeterminismTest, SchedPruningCountersMatchDepStats) {
   // first-pass DepStats it is derived from, and must be absent with HLI
   // off.
   const workloads::Workload& workload = *workloads::find_workload("102.swim");
-  const CompiledProgram with_hli = compile_source(
-      workload.source, PipelineOptions::paper_table2().with_counters());
+  PipelineOptions options = PipelineOptions::paper_table2();
+  options.telemetry.counters = true;
+  const CompiledProgram with_hli = compile_source(workload.source, options);
   const auto& sched = with_hli.stats.sched;
   ASSERT_GT(sched.gcc_yes, sched.combined_yes);
   EXPECT_EQ(with_hli.counters.total.value("sched.ddg_edges_pruned"),
@@ -103,9 +104,8 @@ TEST(TelemetryDeterminismTest, SchedPruningCountersMatchDepStats) {
   EXPECT_EQ(with_hli.counters.total.value("sched.mem_queries"),
             sched.mem_queries);
 
-  const CompiledProgram no_hli = compile_source(
-      workload.source,
-      PipelineOptions::paper_table2().with_hli(false).with_counters());
+  options.use_hli = false;
+  const CompiledProgram no_hli = compile_source(workload.source, options);
   EXPECT_EQ(no_hli.counters.total.value("sched.ddg_edges_pruned"), 0u);
   EXPECT_EQ(no_hli.counters.total.value("sched.call_edges_pruned"), 0u);
 }
@@ -115,8 +115,8 @@ TEST(TelemetryDeterminismTest, SchedPruningCountersMatchDepStats) {
 // event.
 TEST(TelemetryTraceTest, SpansEmitSchemaValidTraceEvents) {
   telemetry::Tracer tracer;
-  const PipelineOptions options =
-      PipelineOptions::paper_table2().with_tracer(&tracer);
+  PipelineOptions options = PipelineOptions::paper_table2();
+  options.telemetry.tracer = &tracer;
   const CompiledProgram compiled = compile_source(
       workloads::all_workloads().front().source, options);
   EXPECT_FALSE(compiled.rtl.functions.empty());
@@ -154,8 +154,8 @@ TEST(TelemetryTraceTest, CompileManySpansCoverEveryInput) {
   // compile-unit span lands in the one trace.
   telemetry::Tracer tracer;
   const std::vector<std::string> sources = all_sources();
-  const PipelineOptions options =
-      PipelineOptions::paper_table2().with_tracer(&tracer);
+  PipelineOptions options = PipelineOptions::paper_table2();
+  options.telemetry.tracer = &tracer;
   const std::vector<CompiledProgram> compiled =
       compile_many(sources, options, /*jobs=*/4);
   EXPECT_EQ(compiled.size(), sources.size());

@@ -66,19 +66,19 @@ std::vector<std::string> maintained_entries(const CompiledProgram& compiled) {
 }
 
 TEST(UnitSpliceTest, WarmCompileReproducesColdOnEverySurface) {
-  const PipelineOptions base = PipelineOptions::production()
-                                   .with_exec_threads(4)
-                                   .with_analyze_loops()
-                                   .with_verify(VerifyMode::Warn)
-                                   .with_audit_deps(VerifyMode::Warn)
-                                   .with_counters();
+  PipelineOptions options = PipelineOptions::production();
+  options.exec_threads = 4;
+  options.analyze_loops = true;
+  options.verify_hli = VerifyMode::Warn;
+  options.audit_deps = VerifyMode::Warn;
+  options.telemetry.counters = true;
   const std::vector<workloads::Workload> programs = suite();
   ASSERT_EQ(programs.size(), 17u);
   for (const workloads::Workload& w : programs) {
     SCOPED_TRACE(w.name);
     MapUnitCache cache;
-    const PipelineOptions options =
-        base.with_language(w.language).with_unit_cache(&cache);
+    options.frontend_options.language = w.language;
+    options.unit_cache = &cache;
     const CompiledProgram cold = compile_source(w.source, options);
     ASSERT_EQ(cache.hits(), 0u);
     ASSERT_FALSE(cold.hli.entries.empty());
@@ -119,11 +119,11 @@ TEST(UnitSpliceTest, OneQueryViewPerFunctionPerMaintenanceGeneration) {
       {"107.mgrid", 7},    {"141.apsi", 18},    {"basic.relax", 5},
       {"basic.stencil", 5}, {"basic.matmul", 5}};
   std::uint64_t total = 0;
+  PipelineOptions options = PipelineOptions::paper_table2();
+  options.telemetry.counters = true;
   for (const workloads::Workload& w : suite()) {
-    const CompiledProgram compiled = compile_source(
-        w.source, PipelineOptions::paper_table2()
-                      .with_language(w.language)
-                      .with_counters());
+    options.frontend_options.language = w.language;
+    const CompiledProgram compiled = compile_source(w.source, options);
     const std::uint64_t views =
         compiled.counters.total.value("query.views_built");
     ASSERT_EQ(expected.count(w.name), 1u) << w.name;
@@ -137,8 +137,9 @@ TEST(UnitSpliceTest, WcBuildsExactlyOneViewPerFunction) {
   // No pass maintains wc's tables, so every function keeps its first view.
   const workloads::Workload* wc = workloads::find_workload("wc");
   ASSERT_NE(wc, nullptr);
-  const CompiledProgram compiled =
-      compile_source(wc->source, PipelineOptions::paper_table2().with_counters());
+  PipelineOptions options = PipelineOptions::paper_table2();
+  options.telemetry.counters = true;
+  const CompiledProgram compiled = compile_source(wc->source, options);
   ASSERT_FALSE(compiled.counters.per_function.empty());
   for (const auto& [name, counters] : compiled.counters.per_function) {
     EXPECT_EQ(counters.value("query.views_built"), 1u) << name;

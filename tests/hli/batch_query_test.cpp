@@ -261,12 +261,13 @@ TEST(BatchQueryTest, RtlByteIdenticalBatchingOnAndOff) {
        {std::pair{"paper_table2", driver::PipelineOptions::paper_table2()},
         std::pair{"production", driver::PipelineOptions::production()}}) {
     for (const auto& workload : programs) {
-      const driver::PipelineOptions options =
-          preset.with_language(workload.language);
-      const driver::CompiledProgram on = driver::compile_source(
-          workload.source, options.with_batch_queries(true));
-      const driver::CompiledProgram off = driver::compile_source(
-          workload.source, options.with_batch_queries(false));
+      driver::PipelineOptions options = preset;
+      options.frontend_options.language = workload.language;
+      const driver::CompiledProgram on =
+          driver::compile_source(workload.source, options);
+      options.batch_queries = false;
+      const driver::CompiledProgram off =
+          driver::compile_source(workload.source, options);
       ASSERT_EQ(rtl_dump(on.rtl), rtl_dump(off.rtl))
           << workload.name << " under " << label;
       // Counters are off, so this is ProgramStats alone: every Table 2

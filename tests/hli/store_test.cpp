@@ -5,11 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 
 #include "hli/serialize.hpp"
 #include "hli_test_util.hpp"
+#include "tests/testutil/hlib_patch.hpp"
 
 namespace hli {
 namespace {
@@ -106,6 +109,48 @@ TEST_F(StoreTest, MalformedBytesRejectedAtConstruction) {
                support::CompileError);
   EXPECT_THROW(HliStore{std::string("not an interchange file")},
                support::CompileError);
+}
+
+/// The message `get(unit)` throws, or "" when it returns.
+std::string get_error(const HliStore& store, const std::string& unit) {
+  try {
+    (void)store.get(unit);
+  } catch (const support::CompileError& e) {
+    return e.what();
+  }
+  return {};
+}
+
+TEST_F(StoreTest, GetRejectsNextIdPastTheDeclaredIdsNamingUnitAndId) {
+  // Every checksum of the re-sealed container matches, and the decoder
+  // accepts any 32-bit next_id; only the import bound stops the view
+  // from sizing its arrays by 4,294,967,295.
+  const HliStore store{testutil::hlib_with_next_id(binary_, UINT32_MAX)};
+  const std::string error = get_error(store, "alpha");
+  EXPECT_NE(error.find("HLI unit 'alpha'"), std::string::npos) << error;
+  EXPECT_NE(error.find("next_id 4294967295"), std::string::npos) << error;
+  EXPECT_THROW((void)store.import_all(), support::CompileError);
+  // The other units are untouched and import as before.
+  EXPECT_EQ(get_error(store, "beta"), "");
+  EXPECT_EQ(get_error(store, "gamma"), "");
+}
+
+TEST_F(StoreTest, GetRejectsIdsPastTheBoundInTextUnits) {
+  const std::vector<std::pair<
+      std::string, std::function<void(format::HliEntry&)>>> cases = {
+      {"item or class ID", [](format::HliEntry& e) { e.next_id = 1; }},
+      {"next_id 100000", [](format::HliEntry& e) { e.next_id = 100000; }},
+      {"region ID 99", [](format::HliEntry& e) { e.regions[0].parent = 99; }},
+  };
+  for (const auto& [expected, corrupt] : cases) {
+    format::HliFile file = built_.file;
+    corrupt(file.entries.at(1));  // beta
+    const HliStore store{serialize::write_hli(file)};
+    const std::string error = get_error(store, "beta");
+    EXPECT_NE(error.find("HLI unit 'beta'"), std::string::npos) << error;
+    EXPECT_NE(error.find(expected), std::string::npos) << error;
+    EXPECT_EQ(get_error(store, "alpha"), "");
+  }
 }
 
 }  // namespace

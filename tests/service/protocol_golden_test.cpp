@@ -195,9 +195,8 @@ TEST(ProtocolGoldenTest, OptionsCodecCarriesTheFrontend) {
   // The front-end selection must survive the wire: a BASIC compile
   // request served from a cache keyed without it would hand back C
   // results (and vice versa).
-  const hli::driver::PipelineOptions basic =
-      hli::driver::PipelineOptions{}.with_language(
-          hli::frontend::Language::Basic);
+  hli::driver::PipelineOptions basic;
+  basic.frontend_options.language = hli::frontend::Language::Basic;
   const std::string text = encode_options(basic);
   EXPECT_NE(text.find("frontend=basic\n"), std::string::npos) << text;
   EXPECT_EQ(decode_options(text).frontend_options.language,

@@ -264,7 +264,8 @@ TEST(ServiceTest, OptionsChangeCacheSeparately) {
   ServerFixture fixture;
   Client client = fixture.connect();
   driver::PipelineOptions plain;
-  driver::PipelineOptions unrolled = plain.with_unroll(4);
+  driver::PipelineOptions unrolled = plain;
+  unrolled.enable_unroll = true;
 
   const std::string src = workloads::all_workloads().front().source;
   const CompileReply a = client.compile({src}, plain);

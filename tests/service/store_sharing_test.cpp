@@ -27,6 +27,7 @@
 #include "service/client.hpp"
 #include "service/server.hpp"
 #include "support/diagnostics.hpp"
+#include "tests/testutil/hlib_patch.hpp"
 #include "tests/testutil/temp_path.hpp"
 
 namespace {
@@ -48,10 +49,13 @@ int main()
 }
 )";
 
-std::string write_store_file(const std::string& tag) {
-  frontend::AnalyzedUnit unit =
-      frontend::analyze_unit(kSource, {}, frontend::HliEncoding::Binary);
-  const std::string bytes = std::move(unit.hli_bytes);
+std::string store_bytes() {
+  return frontend::analyze_unit(kSource, {}, frontend::HliEncoding::Binary)
+      .hli_bytes;
+}
+
+std::string write_store_file(const std::string& tag,
+                             const std::string& bytes = store_bytes()) {
   const std::string path = testutil::unique_temp_path(tag + ".hlib");
   std::ofstream out(path, std::ios::binary);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
@@ -122,7 +126,10 @@ TEST(StoreSharingTest, ServiceSharesOneStoreAcrossRequests) {
         service::Client client =
             service::Client::connect_tcp("127.0.0.1", server.tcp_port());
         driver::PipelineOptions popts;
-        if (t > 0) popts = popts.with_unroll(2 + t);
+        if (t > 0) {
+          popts.enable_unroll = true;
+          popts.unroll_factor = 2 + t;
+        }
         const service::CompileReply reply =
             client.compile({kSource}, popts, path);
         if (reply.programs.size() != 1 || reply.programs[0].rtl.empty()) {
@@ -148,8 +155,11 @@ TEST(StoreSharingTest, ServiceSharesOneStoreAcrossRequests) {
   // anything new.
   service::Client client =
       service::Client::connect_tcp("127.0.0.1", server.tcp_port());
-  const service::CompileReply reply = client.compile(
-      {kSource}, driver::PipelineOptions{}.with_unroll(8), path);
+  driver::PipelineOptions unrolled;
+  unrolled.enable_unroll = true;
+  unrolled.unroll_factor = 8;
+  const service::CompileReply reply =
+      client.compile({kSource}, unrolled, path);
   ASSERT_EQ(reply.programs.size(), 1u);
   EXPECT_EQ(server.store_units_decoded(path), decoded);
   server.stop();
@@ -175,6 +185,37 @@ TEST(StoreSharingTest, ServiceStoreCompileMatchesDirectStoreCompile) {
   ASSERT_EQ(reply.programs.size(), 1u);
   EXPECT_EQ(reply.programs[0].rtl, service::render_rtl(direct));
   EXPECT_EQ(reply.programs[0].stats, service::render_program_stats(direct));
+  server.stop();
+}
+
+TEST(StoreSharingTest, StorePastTheImportBoundIsCompileFailed) {
+  // A re-sealed container passes every checksum and decoder check; its
+  // first unit claims next_id 4,294,967,295.  The server must answer
+  // CompileFailed instead of sizing a query view by it.
+  const std::string bad = write_store_file(
+      "bound", testutil::hlib_with_next_id(store_bytes(), UINT32_MAX));
+  const std::string good = write_store_file("bound_ok");
+  service::ServerOptions soptions;
+  soptions.port = 0;
+  service::Server server(soptions);
+  server.start();
+  {
+    service::Client client =
+        service::Client::connect_tcp("127.0.0.1", server.tcp_port());
+    try {
+      (void)client.compile({kSource}, {}, bad);
+      ADD_FAILURE() << "an out-of-bound store compiled";
+    } catch (const service::ServiceError& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(e.code(), service::ErrorCode::CompileFailed) << what;
+      EXPECT_NE(what.find("HLI unit '"), std::string::npos) << what;
+      EXPECT_NE(what.find("next_id 4294967295"), std::string::npos) << what;
+    }
+  }
+  // The server keeps serving well-formed stores.
+  service::Client client =
+      service::Client::connect_tcp("127.0.0.1", server.tcp_port());
+  EXPECT_EQ(client.compile({kSource}, {}, good).programs.size(), 1u);
   server.stop();
 }
 

@@ -311,7 +311,7 @@ TEST(HlicCliTest, IrdepFallbackCompilesWithoutHli) {
 TEST(HlicCliTest, ExecThreadsRejectsZero) {
   const RunResult result = run_hlic("wc --run --exec-threads=0");
   EXPECT_EQ(result.exit_code, 2) << result.output;
-  EXPECT_NE(result.output.find("--exec-threads expects a positive integer"),
+  EXPECT_NE(result.output.find("--exec-threads expects an integer from 1"),
             std::string::npos)
       << result.output;
 }
@@ -319,14 +319,14 @@ TEST(HlicCliTest, ExecThreadsRejectsZero) {
 TEST(HlicCliTest, ExecThreadsRejectsNegative) {
   const RunResult result = run_hlic("wc --run --exec-threads=-1");
   EXPECT_EQ(result.exit_code, 2) << result.output;
-  EXPECT_NE(result.output.find("positive integer"), std::string::npos)
+  EXPECT_NE(result.output.find("expects an integer from 1"), std::string::npos)
       << result.output;
 }
 
 TEST(HlicCliTest, ExecThreadsRejectsNonNumeric) {
   const RunResult result = run_hlic("wc --run --exec-threads=abc");
   EXPECT_EQ(result.exit_code, 2) << result.output;
-  EXPECT_NE(result.output.find("positive integer"), std::string::npos)
+  EXPECT_NE(result.output.find("expects an integer from 1"), std::string::npos)
       << result.output;
 }
 
@@ -342,6 +342,46 @@ TEST(HlicCliTest, StatsJsonCarriesLoopChannelUnderAnalyzeLoops) {
   EXPECT_EQ(result.exit_code, 0) << result.output;
   EXPECT_NE(result.output.find("\"loops\":"), std::string::npos)
       << result.output;
+}
+
+struct BadFlag {
+  const char* args;
+  const char* message;  ///< Must appear in the diagnostic.
+};
+
+class HlicBadNumberTest : public ::testing::TestWithParam<BadFlag> {};
+
+TEST_P(HlicBadNumberTest, ExitsTwoNamingTheFlag) {
+  const RunResult result = run_hlic(std::string(GetParam().args) + " wc");
+  EXPECT_EQ(result.exit_code, 2) << result.output;
+  EXPECT_NE(result.output.find(GetParam().message), std::string::npos)
+      << result.output;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Flags, HlicBadNumberTest,
+    ::testing::Values(
+        BadFlag{"--unroll=abc",
+                "hlic: --unroll expects an integer from 2 to 4294967295, "
+                "got 'abc'"},
+        BadFlag{"--unroll=99999999999999999999", "--unroll expects an integer"},
+        BadFlag{"--unroll=4294967297", "--unroll expects an integer"},
+        BadFlag{"--unroll=0", "--unroll expects an integer from 2"},
+        BadFlag{"--jobs=abc", "--jobs expects an integer from 0"},
+        BadFlag{"--jobs=-1", "--jobs expects an integer from 0"},
+        BadFlag{"--remote=127.0.0.1:abc",
+                "--remote port expects an integer from 1 to 65535"},
+        BadFlag{"--remote=127.0.0.1:70000", "--remote port expects an integer"},
+        BadFlag{"--remote=nohost", "--remote wants HOST:PORT"}));
+
+TEST(HlicCliTest, UnrollFactorReachesThePipeline) {
+  const RunResult four = run_hlic("--unroll=4 --stats 101.tomcatv");
+  const RunResult bare = run_hlic("--unroll --stats 101.tomcatv");
+  EXPECT_EQ(four.exit_code, 0) << four.output;
+  EXPECT_EQ(four.output, bare.output);
+  EXPECT_NE(four.output.find("loops unrolled:"), std::string::npos);
+  EXPECT_EQ(four.output.find("loops unrolled:     0\n"), std::string::npos)
+      << four.output;
 }
 
 }  // namespace

@@ -33,7 +33,6 @@
 // there is more than one.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -67,6 +66,8 @@ struct CliOptions {
   /// stats text); local-result modes (--run, --simulate, --dump-hli,
   /// --pretty) stay in-process only.
   std::string remote;
+  std::string remote_host;  ///< HOST of a --remote=HOST:PORT.
+  int remote_port = 0;
   tools::CommonOptions common;
   driver::PipelineOptions pipeline;
   std::vector<std::string> inputs;
@@ -87,11 +88,13 @@ int usage() {
 
 bool parse_args(int argc, char** argv, CliOptions& options) {
   for (int i = 1; i < argc; ++i) {
-    switch (tools::parse_common_flag(argc, argv, i, "hlic", options.common)) {
-      case tools::ParseStatus::Handled: continue;
-      case tools::ParseStatus::Error: return false;
-      case tools::ParseStatus::NotMine: break;
+    tools::ParseStatus status =
+        tools::parse_common_flag(argc, argv, i, "hlic", options.common);
+    if (status == tools::ParseStatus::NotMine) {
+      status = tools::parse_pipeline_flag(argv[i], "hlic", options.pipeline);
     }
+    if (status == tools::ParseStatus::Error) return false;
+    if (status == tools::ParseStatus::Handled) continue;
     const std::string arg = argv[i];
     if (arg == "--dump-hli") {
       options.dump_hli = true;
@@ -105,15 +108,13 @@ bool parse_args(int argc, char** argv, CliOptions& options) {
       options.simulate = arg.substr(11);
     } else if (arg.rfind("--remote=", 0) == 0) {
       options.remote = arg.substr(9);
-    } else if (arg == "--no-hli") {
-      options.pipeline = options.pipeline.with_hli(false);
+      if (options.remote.rfind("unix:", 0) != 0 &&
+          !tools::parse_host_port(options.remote, "--remote", "hlic",
+                                  options.remote_host, options.remote_port)) {
+        return false;
+      }
     } else if (arg == "--verify") {
       options.verify_files = true;
-    } else if (arg == "--unroll") {
-      options.pipeline = options.pipeline.with_unroll();
-    } else if (arg.rfind("--unroll=", 0) == 0) {
-      options.pipeline = options.pipeline.with_unroll(
-          static_cast<unsigned>(std::stoul(arg.substr(9))));
     } else if (arg == "--list-workloads") {
       for (const auto& w : workloads::all_workloads()) {
         std::printf("%-14s %s\n", w.name.c_str(), w.suite.c_str());
@@ -130,24 +131,6 @@ bool parse_args(int argc, char** argv, CliOptions& options) {
     }
   }
   return !options.inputs.empty();
-}
-
-bool load_source(const std::string& input, std::string& source) {
-  if (const workloads::Workload* w = workloads::find_workload(input)) {
-    source = w->source;
-    return true;
-  }
-  std::ifstream in(input);
-  if (!in) {
-    std::fprintf(stderr, "hlic: cannot open '%s' (and it is not a built-in "
-                         "workload; try --list-workloads)\n",
-                 input.c_str());
-    return false;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  source = std::move(buffer).str();
-  return true;
 }
 
 /// `hlic --verify`: parse + statically check one serialized HLI file.
@@ -173,11 +156,7 @@ int verify_hli_file(const std::string& path) {
   hli::format::HliFile file;
   try {
     file = serialize::read_any(std::move(buffer).str());
-  } catch (const support::CompileError& e) {
-    std::fprintf(stderr, "hlic: %s: malformed HLI: %s\n", path.c_str(),
-                 e.what());
-    return 1;
-  } catch (const std::exception& e) {
+  } catch (const std::exception& e) {  // support::CompileError and others.
     std::fprintf(stderr, "hlic: %s: malformed HLI: %s\n", path.c_str(),
                  e.what());
     return 1;
@@ -198,7 +177,7 @@ int verify_hli_file(const std::string& path) {
 }
 
 int emit(const CliOptions& options, const driver::CompiledProgram& compiled) {
-  if (options.common.analyze_loops &&
+  if (options.pipeline.analyze_loops &&
       options.common.stats != tools::StatsFormat::Json) {
     // --analyze=loops: one fixed-width line per loop, each classified
     // under irdep facts alone and under irdep ∪ HLI.  With --stats=json
@@ -311,22 +290,11 @@ int run_remote(const CliOptions& options,
                  "(--run/--simulate/--dump-hli/--pretty are in-process)\n");
     return 2;
   }
-  service::Client client = [&options] {
-    if (options.remote.rfind("unix:", 0) == 0) {
-      return service::Client::connect_unix(options.remote.substr(5));
-    }
-    const std::size_t colon = options.remote.rfind(':');
-    if (colon == std::string::npos || colon == 0 ||
-        colon + 1 == options.remote.size()) {
-      throw service::ServiceError(
-          service::ErrorCode::BadRequest,
-          "--remote wants HOST:PORT or unix:PATH, got '" + options.remote +
-              "'");
-    }
-    return service::Client::connect_tcp(
-        options.remote.substr(0, colon),
-        std::atoi(options.remote.c_str() + colon + 1));
-  }();
+  service::Client client =
+      options.remote.rfind("unix:", 0) == 0
+          ? service::Client::connect_unix(options.remote.substr(5))
+          : service::Client::connect_tcp(options.remote_host,
+                                         options.remote_port);
   const service::CompileReply reply =
       client.compile(sources, options.pipeline);
   int status = 0;
@@ -368,7 +336,7 @@ int main(int argc, char** argv) {
 
   std::vector<std::string> sources(options.inputs.size());
   for (std::size_t i = 0; i < options.inputs.size(); ++i) {
-    if (!load_source(options.inputs[i], sources[i])) return 1;
+    if (!tools::load_source(options.inputs[i], "hlic", sources[i])) return 1;
   }
   if (!tools::resolve_frontend(options.common, options.inputs, "hlic")) {
     return 2;

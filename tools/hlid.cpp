@@ -15,8 +15,8 @@
 //
 // Client mode:
 //   hlid --client (--connect=HOST:PORT | --unix=PATH)
-//        [--dump-rtl] [--stats] [--store=PATH] [shared flags]
-//        <file.c | file.bas | workload-name>...
+//        [--dump-rtl] [--stats] [--store=PATH] [--no-hli] [--unroll[=N]]
+//        [shared flags] <file.c | file.bas | workload-name>...
 //   hlid --client --connect=... (--ping | --server-stats | --shutdown)
 //
 //   --dump-rtl output is byte-identical to `hlic --dump-rtl` for the
@@ -34,13 +34,15 @@
 //   stalled request on a loaded host does not set the ratio.
 #include <algorithm>
 #include <chrono>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "service/client.hpp"
@@ -69,7 +71,6 @@ struct CliOptions {
   bool server_stats = false;
   bool shutdown = false;
   bool dump_rtl = false;
-  bool print_stats = false;
   std::string store_path;
   // Bench.
   std::string bench_out = "BENCH_service.json";
@@ -86,7 +87,8 @@ int usage() {
       "            [--cache-size=N] [--cache-shards=N]\n"
       "            [--response-cache-size=N] [--port-file=PATH]\n"
       "       hlid --client (--connect=HOST:PORT | --unix=PATH)\n"
-      "            [--dump-rtl] [--stats] [--store=PATH] [shared flags]\n"
+      "            [--dump-rtl] [--stats] [--store=PATH] [--no-hli]\n"
+      "            [--unroll[=N]] [shared flags]\n"
       "            <file.c | file.bas | workload-name>...\n"
       "       hlid --client --connect=... (--ping|--server-stats|--shutdown)\n"
       "       hlid --bench [--bench-out=PATH]\n"
@@ -95,59 +97,54 @@ int usage() {
   return 2;
 }
 
-bool parse_connect(const std::string& value, CliOptions& options) {
-  const std::size_t colon = value.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 == value.size()) {
-    std::fprintf(stderr, "hlid: --connect wants HOST:PORT, got '%s'\n",
-                 value.c_str());
-    return false;
-  }
-  options.connect_host = value.substr(0, colon);
-  options.connect_port = std::atoi(value.c_str() + colon + 1);
-  if (options.connect_port <= 0 || options.connect_port > 65535) {
-    std::fprintf(stderr, "hlid: bad port in '%s'\n", value.c_str());
-    return false;
-  }
-  return true;
-}
-
 bool parse_args(int argc, char** argv, CliOptions& options) {
   for (int i = 1; i < argc; ++i) {
-    switch (tools::parse_common_flag(argc, argv, i, "hlid", options.common)) {
-      case tools::ParseStatus::Handled: continue;
-      case tools::ParseStatus::Error: return false;
-      case tools::ParseStatus::NotMine: break;
+    tools::ParseStatus status =
+        tools::parse_common_flag(argc, argv, i, "hlid", options.common);
+    if (status == tools::ParseStatus::NotMine) {
+      status = tools::parse_pipeline_flag(argv[i], "hlid", options.pipeline);
     }
+    if (status == tools::ParseStatus::Error) return false;
+    if (status == tools::ParseStatus::Handled) continue;
     const std::string arg = argv[i];
     const auto value_of = [&arg](std::size_t prefix) {
       return arg.substr(prefix);
     };
+    // `--flag=N` through the checked parse; `prefix` spans "--flag=".
+    const auto number = [&arg](std::size_t prefix, std::uint64_t max,
+                               auto& out) {
+      const std::string flag = arg.substr(0, prefix - 1);
+      const std::optional<std::uint64_t> n = tools::parse_number(
+          std::string_view(arg).substr(prefix), flag.c_str(), "hlid", 0, max);
+      if (n) out = static_cast<std::remove_reference_t<decltype(out)>>(*n);
+      return n.has_value();
+    };
+    bool ok = true;
     if (arg == "--client") {
       options.mode = Mode::Client;
     } else if (arg == "--bench") {
       options.mode = Mode::Bench;
     } else if (arg.rfind("--port=", 0) == 0) {
-      options.server.port = std::atoi(arg.c_str() + 7);
+      ok = number(7, 65535, options.server.port);
     } else if (arg.rfind("--unix=", 0) == 0) {
       // Server listen path; in client mode, the socket to connect to.
       options.server.unix_path = value_of(7);
       options.connect_unix = options.server.unix_path;
     } else if (arg.rfind("--workers=", 0) == 0) {
-      options.server.workers =
-          static_cast<unsigned>(std::stoul(value_of(10)));
+      ok = number(10, UINT_MAX, options.server.workers);
     } else if (arg.rfind("--compile-jobs=", 0) == 0) {
-      options.server.compile_jobs =
-          static_cast<unsigned>(std::stoul(value_of(15)));
+      ok = number(15, UINT_MAX, options.server.compile_jobs);
     } else if (arg.rfind("--cache-size=", 0) == 0) {
-      options.server.cache_entries = std::stoul(value_of(13));
+      ok = number(13, SIZE_MAX, options.server.cache_entries);
     } else if (arg.rfind("--cache-shards=", 0) == 0) {
-      options.server.cache_shards = std::stoul(value_of(15));
+      ok = number(15, SIZE_MAX, options.server.cache_shards);
     } else if (arg.rfind("--response-cache-size=", 0) == 0) {
-      options.server.response_entries = std::stoul(value_of(22));
+      ok = number(22, SIZE_MAX, options.server.response_entries);
     } else if (arg.rfind("--port-file=", 0) == 0) {
       options.port_file = value_of(12);
     } else if (arg.rfind("--connect=", 0) == 0) {
-      if (!parse_connect(value_of(10), options)) return false;
+      ok = tools::parse_host_port(value_of(10), "--connect", "hlid",
+                                  options.connect_host, options.connect_port);
     } else if (arg == "--ping") {
       options.ping = true;
     } else if (arg == "--server-stats") {
@@ -160,38 +157,14 @@ bool parse_args(int argc, char** argv, CliOptions& options) {
       options.store_path = value_of(8);
     } else if (arg.rfind("--bench-out=", 0) == 0) {
       options.bench_out = value_of(12);
-    } else if (arg == "--no-hli") {
-      options.pipeline = options.pipeline.with_hli(false);
-    } else if (arg == "--unroll") {
-      options.pipeline = options.pipeline.with_unroll();
-    } else if (arg.rfind("--unroll=", 0) == 0) {
-      options.pipeline = options.pipeline.with_unroll(
-          static_cast<unsigned>(std::stoul(arg.substr(9))));
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "hlid: unknown option '%s'\n", arg.c_str());
       return false;
     } else {
       options.inputs.push_back(arg);
     }
+    if (!ok) return false;
   }
-  return true;
-}
-
-bool load_source(const std::string& input, std::string& source) {
-  if (const workloads::Workload* w = workloads::find_workload(input)) {
-    source = w->source;
-    return true;
-  }
-  std::ifstream in(input);
-  if (!in) {
-    std::fprintf(stderr, "hlid: cannot open '%s' (and it is not a built-in "
-                         "workload)\n",
-                 input.c_str());
-    return false;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  source = std::move(buffer).str();
   return true;
 }
 
@@ -254,20 +227,15 @@ int run_client(CliOptions& options) {
   }
   std::vector<std::string> sources(options.inputs.size());
   for (std::size_t i = 0; i < options.inputs.size(); ++i) {
-    if (!load_source(options.inputs[i], sources[i])) return 1;
+    if (!tools::load_source(options.inputs[i], "hlid", sources[i])) return 1;
   }
   if (!tools::resolve_frontend(options.common, options.inputs, "hlid")) {
     return 2;
   }
-  // --stats is consumed by parse_common_flag (shared vocabulary) and
-  // routes through the same telemetry switch as hlic, so the options
+  // --stats turns counters on through apply(), as in hlic, so the options
   // fingerprint (and therefore the server's unit cache key)
   // distinguishes counters-on from counters-off compiles.
-  options.print_stats = options.common.stats != tools::StatsFormat::Off;
   options.pipeline = tools::apply(options.common, options.pipeline, nullptr);
-  if (options.print_stats) {
-    options.pipeline.telemetry.counters = true;
-  }
   const service::CompileReply reply =
       client.compile(sources, options.pipeline, options.store_path);
   int status = 0;
@@ -285,7 +253,9 @@ int run_client(CliOptions& options) {
       status = 1;
     }
     if (options.dump_rtl) std::fputs(result.rtl.c_str(), stdout);
-    if (options.print_stats) std::fputs(result.stats.c_str(), stdout);
+    if (options.common.stats != tools::StatsFormat::Off) {
+      std::fputs(result.stats.c_str(), stdout);
+    }
   }
   return status;
 }

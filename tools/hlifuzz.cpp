@@ -45,8 +45,9 @@
 // Exit status: 0 all iterations agree (or, under --plant-bug, every
 // iteration was caught); 1 divergence (or a planted bug missed); 2 usage.
 #include <algorithm>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -95,41 +96,24 @@ int usage() {
   return 2;
 }
 
-/// `--flag value` or `--flag=value`; advances `i` in the former case.
-bool flag_value(int argc, char** argv, int& i, const char* name,
-                std::string& out) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(argv[i], name, len) != 0) return false;
-  if (argv[i][len] == '=') {
-    out = argv[i] + len + 1;
-    return true;
-  }
-  if (argv[i][len] == '\0' && i + 1 < argc) {
-    out = argv[++i];
-    return true;
-  }
-  return false;
-}
-
 /// Applies the shared --verify-hli / --emit overrides (when given) onto
 /// every configuration of the differential matrix.
 void apply_matrix_overrides(const tools::CommonOptions& common,
                             std::vector<testing::DiffConfig>& matrix) {
   for (testing::DiffConfig& config : matrix) {
-    if (common.verify_hli_set) {
-      config.options = config.options.with_verify(common.verify_hli);
-    }
-    if (common.emit_set) {
-      config.options = config.options.with_encoding(common.emit);
-    }
+    driver::PipelineOptions& options = config.options;
+    options.verify_hli = common.verify_hli.value_or(options.verify_hli);
+    options.hli_encoding = common.emit.value_or(options.hli_encoding);
   }
 }
 
-bool parse_u64(const std::string& text, std::uint64_t& out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  out = std::strtoull(text.c_str(), &end, 10);
-  return end != nullptr && *end == '\0';
+/// `--flag N` into `out` through the shared checked parse.
+bool parse_u64(const std::string& text, const char* flag, std::uint64_t max,
+               std::uint64_t& out) {
+  const std::optional<std::uint64_t> n =
+      tools::parse_number(text, flag, "hlifuzz", 0, max);
+  if (n) out = *n;
+  return n.has_value();
 }
 
 testing::GenOptions gen_options(const CliOptions& cli, std::uint64_t seed) {
@@ -205,8 +189,8 @@ int run_reduce_mode(const CliOptions& cli) {
   // A `.bas` reproducer selects the BASIC front-end on its own;
   // --frontend stays the explicit override.
   const frontend::Language language =
-      cli.common.frontend_set
-          ? cli.common.frontend
+      cli.common.frontend
+          ? *cli.common.frontend
           : frontend::language_for_path(cli.reduce_path)
                 .value_or(frontend::Language::C);
 
@@ -253,11 +237,14 @@ int main(int argc, char** argv) {
       case tools::ParseStatus::Error: return usage();
       case tools::ParseStatus::NotMine: break;
     }
+    using tools::flag_value;
     std::string value;
     if (flag_value(argc, argv, i, "--seed", value)) {
-      if (!parse_u64(value, cli.seed)) return usage();
+      if (!parse_u64(value, "--seed", UINT64_MAX, cli.seed)) return usage();
     } else if (flag_value(argc, argv, i, "--iterations", value)) {
-      if (!parse_u64(value, cli.iterations)) return usage();
+      if (!parse_u64(value, "--iterations", UINT64_MAX, cli.iterations)) {
+        return usage();
+      }
     } else if (flag_value(argc, argv, i, "--features", value)) {
       if (!testing::parse_features(value, cli.features)) {
         std::fprintf(stderr, "hlifuzz: unknown feature in '%s'\n",
@@ -277,7 +264,7 @@ int main(int argc, char** argv) {
       cli.json_path = value;
     } else if (flag_value(argc, argv, i, "--max-checks", value)) {
       std::uint64_t n = 0;
-      if (!parse_u64(value, n)) return usage();
+      if (!parse_u64(value, "--max-checks", UINT_MAX, n)) return usage();
       cli.max_checks = static_cast<unsigned>(n);
     } else if (std::strcmp(argv[i], "--emit-source") == 0) {
       cli.emit_source = true;
@@ -304,7 +291,8 @@ int main(int argc, char** argv) {
 
   // --frontend=basic: every generated program fuzzes the BASIC front-end
   // instead, with features the dialect cannot express masked off.
-  const frontend::Language language = cli.common.frontend;
+  const frontend::Language language =
+      cli.common.frontend.value_or(frontend::Language::C);
   if (language == frontend::Language::Basic) {
     const std::uint32_t expressible = testing::basic_expressible(cli.features);
     if (expressible != cli.features && !cli.quiet) {

@@ -1,10 +1,12 @@
 #include "tools/options.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <optional>
+#include <fstream>
+#include <sstream>
 
 #include "workloads/workloads.hpp"
 
@@ -12,7 +14,30 @@ namespace hli::tools {
 
 namespace {
 
-/// `--flag value` or `--flag=value`; advances `i` in the former case.
+void append_uint(std::string& out, std::uint64_t value) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "%llu",
+                static_cast<unsigned long long>(value));
+  out += buf;
+}
+
+/// `--flag[=]N` parsed through parse_number into `out`.
+ParseStatus number_flag(int argc, char** argv, int& i, const char* flag,
+                        const char* tool, std::uint64_t min, unsigned& out) {
+  std::string value;
+  if (!flag_value(argc, argv, i, flag, value)) {
+    std::fprintf(stderr, "%s: %s requires a value\n", tool, flag);
+    return ParseStatus::Error;
+  }
+  const std::optional<std::uint64_t> n =
+      parse_number(value, flag, tool, min, UINT_MAX);
+  if (!n) return ParseStatus::Error;
+  out = static_cast<unsigned>(*n);
+  return ParseStatus::Handled;
+}
+
+}  // namespace
+
 bool flag_value(int argc, char** argv, int& i, const char* name,
                 std::string& out) {
   const std::size_t len = std::strlen(name);
@@ -28,38 +53,50 @@ bool flag_value(int argc, char** argv, int& i, const char* name,
   return false;
 }
 
-bool parse_jobs(const std::string& text, const char* tool, unsigned& out) {
-  char* end = nullptr;
-  const unsigned long value = std::strtoul(text.c_str(), &end, 10);
-  if (text.empty() || end == text.c_str() || *end != '\0') {
-    std::fprintf(stderr, "%s: --jobs expects a number, got '%s'\n", tool,
-                 text.c_str());
+std::optional<std::uint64_t> parse_number(std::string_view text,
+                                          const char* flag, const char* tool,
+                                          std::uint64_t min,
+                                          std::uint64_t max) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error == std::errc() && stop == end && value >= min && value <= max) {
+    return value;
+  }
+  std::fprintf(stderr,
+               "%s: %s expects an integer from %llu to %llu, got '%.*s'\n",
+               tool, flag, static_cast<unsigned long long>(min),
+               static_cast<unsigned long long>(max),
+               static_cast<int>(text.size()), text.data());
+  return std::nullopt;
+}
+
+bool parse_host_port(std::string_view value, const char* flag,
+                     const char* tool, std::string& host, int& port) {
+  const std::size_t colon = value.rfind(':');
+  if (colon == std::string_view::npos || colon == 0) {
+    std::fprintf(stderr, "%s: %s wants HOST:PORT, got '%.*s'\n", tool, flag,
+                 static_cast<int>(value.size()), value.data());
     return false;
   }
-  out = static_cast<unsigned>(value);
+  const std::string port_flag = std::string(flag) + " port";
+  const std::optional<std::uint64_t> n =
+      parse_number(value.substr(colon + 1), port_flag.c_str(), tool, 1, 65535);
+  if (!n) return false;
+  host = value.substr(0, colon);
+  port = static_cast<int>(*n);
   return true;
 }
-
-void append_uint(std::string& out, std::uint64_t value) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%llu",
-                static_cast<unsigned long long>(value));
-  out += buf;
-}
-
-}  // namespace
 
 ParseStatus parse_common_flag(int argc, char** argv, int& i, const char* tool,
                               CommonOptions& out) {
   const std::string arg = argv[i];
   if (arg == "--verify-hli" || arg == "--verify-hli=fatal") {
     out.verify_hli = driver::VerifyMode::Fatal;
-    out.verify_hli_set = true;
     return ParseStatus::Handled;
   }
   if (arg == "--verify-hli=warn") {
     out.verify_hli = driver::VerifyMode::Warn;
-    out.verify_hli_set = true;
     return ParseStatus::Handled;
   }
   if (arg.rfind("--verify-hli=", 0) == 0) {
@@ -69,12 +106,10 @@ ParseStatus parse_common_flag(int argc, char** argv, int& i, const char* tool,
   }
   if (arg == "--emit=binary") {
     out.emit = driver::HliEncoding::Binary;
-    out.emit_set = true;
     return ParseStatus::Handled;
   }
   if (arg == "--emit=text") {
     out.emit = driver::HliEncoding::Text;
-    out.emit_set = true;
     return ParseStatus::Handled;
   }
   if (arg.rfind("--emit=", 0) == 0 || arg == "--emit") {
@@ -95,33 +130,20 @@ ParseStatus parse_common_flag(int argc, char** argv, int& i, const char* tool,
                  tool, arg.c_str() + 8);
     return ParseStatus::Error;
   }
-  if (arg.rfind("--trace-out=", 0) == 0) {
-    out.trace_out = arg.substr(12);
-    if (out.trace_out.empty()) {
+  if (arg == "--trace-out" || arg.rfind("--trace-out=", 0) == 0) {
+    if (!flag_value(argc, argv, i, "--trace-out", out.trace_out) ||
+        out.trace_out.empty()) {
       std::fprintf(stderr, "%s: --trace-out expects a path\n", tool);
       return ParseStatus::Error;
     }
     return ParseStatus::Handled;
   }
-  if (arg == "--trace-out") {
-    std::string value;
-    int before = i;
-    if (flag_value(argc, argv, i, "--trace-out", value) && !value.empty()) {
-      out.trace_out = value;
-      return ParseStatus::Handled;
-    }
-    i = before;
-    std::fprintf(stderr, "%s: --trace-out expects a path\n", tool);
-    return ParseStatus::Error;
-  }
   if (arg == "--audit-deps" || arg == "--audit-deps=fatal") {
     out.audit_deps = driver::VerifyMode::Fatal;
-    out.audit_deps_set = true;
     return ParseStatus::Handled;
   }
   if (arg == "--audit-deps=warn") {
     out.audit_deps = driver::VerifyMode::Warn;
-    out.audit_deps_set = true;
     return ParseStatus::Handled;
   }
   if (arg.rfind("--audit-deps=", 0) == 0) {
@@ -131,7 +153,6 @@ ParseStatus parse_common_flag(int argc, char** argv, int& i, const char* tool,
   }
   if (arg == "--analyze=loops") {
     out.analyze_loops = true;
-    out.analyze_loops_set = true;
     return ParseStatus::Handled;
   }
   if (arg.rfind("--analyze=", 0) == 0 || arg == "--analyze") {
@@ -141,26 +162,11 @@ ParseStatus parse_common_flag(int argc, char** argv, int& i, const char* tool,
   }
   if (arg == "--irdep-fallback") {
     out.irdep_fallback = true;
-    out.irdep_fallback_set = true;
     return ParseStatus::Handled;
   }
   if (arg == "--exec-threads" || arg.rfind("--exec-threads=", 0) == 0) {
-    std::string value;
-    if (!flag_value(argc, argv, i, "--exec-threads", value)) {
-      std::fprintf(stderr, "%s: --exec-threads requires a value\n", tool);
-      return ParseStatus::Error;
-    }
-    char* end = nullptr;
-    const long parsed = std::strtol(value.c_str(), &end, 10);
-    if (value.empty() || end == value.c_str() || *end != '\0' || parsed < 1) {
-      std::fprintf(stderr,
-                   "%s: --exec-threads expects a positive integer, got '%s'\n",
-                   tool, value.c_str());
-      return ParseStatus::Error;
-    }
-    out.exec_threads = static_cast<unsigned>(parsed);
-    out.exec_threads_set = true;
-    return ParseStatus::Handled;
+    return number_flag(argc, argv, i, "--exec-threads", tool, 1,
+                       out.exec_threads.emplace());
   }
   if (arg == "--frontend" || arg.rfind("--frontend=", 0) == 0) {
     std::string value;
@@ -168,33 +174,43 @@ ParseStatus parse_common_flag(int argc, char** argv, int& i, const char* tool,
       std::fprintf(stderr, "%s: --frontend requires a value\n", tool);
       return ParseStatus::Error;
     }
-    const std::optional<frontend::Language> language =
-        frontend::language_from_name(value);
-    if (!language.has_value()) {
+    out.frontend = frontend::language_from_name(value);
+    if (!out.frontend) {
       std::fprintf(stderr,
                    "%s: --frontend expects 'c' or 'basic', got '%s'\n", tool,
                    value.c_str());
       return ParseStatus::Error;
     }
-    out.frontend = *language;
-    out.frontend_set = true;
     return ParseStatus::Handled;
   }
   if (arg == "--open-world-params") {
     out.open_world = true;
-    out.open_world_set = true;
     return ParseStatus::Handled;
   }
   if (arg == "--jobs" || arg.rfind("--jobs=", 0) == 0) {
-    std::string value;
-    if (!flag_value(argc, argv, i, "--jobs", value)) {
-      std::fprintf(stderr, "%s: --jobs requires a value\n", tool);
-      return ParseStatus::Error;
-    }
-    return parse_jobs(value, tool, out.jobs) ? ParseStatus::Handled
-                                             : ParseStatus::Error;
+    return number_flag(argc, argv, i, "--jobs", tool, 0, out.jobs);
   }
   return ParseStatus::NotMine;
+}
+
+ParseStatus parse_pipeline_flag(std::string_view arg, const char* tool,
+                                driver::PipelineOptions& pipeline) {
+  if (arg == "--no-hli") {
+    pipeline.use_hli = false;
+    return ParseStatus::Handled;
+  }
+  if (arg == "--unroll") {
+    pipeline.enable_unroll = true;
+    pipeline.unroll_factor = 4;
+    return ParseStatus::Handled;
+  }
+  if (arg.rfind("--unroll=", 0) != 0) return ParseStatus::NotMine;
+  const std::optional<std::uint64_t> factor =
+      parse_number(arg.substr(9), "--unroll", tool, 2, UINT_MAX);
+  if (!factor) return ParseStatus::Error;
+  pipeline.enable_unroll = true;
+  pipeline.unroll_factor = static_cast<unsigned>(*factor);
+  return ParseStatus::Handled;
 }
 
 const char* common_usage() {
@@ -217,6 +233,26 @@ const char* common_usage() {
          "parameters (C front-end only)\n";
 }
 
+bool load_source(const std::string& input, const char* tool,
+                 std::string& source) {
+  if (const workloads::Workload* w = workloads::find_workload(input)) {
+    source = w->source;
+    return true;
+  }
+  std::ifstream in(input);
+  if (!in) {
+    std::fprintf(stderr,
+                 "%s: cannot open '%s' (and it is not a built-in workload; "
+                 "hlic --list-workloads names them)\n",
+                 tool, input.c_str());
+    return false;
+  }
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  source = std::move(buffer).str();
+  return true;
+}
+
 bool resolve_frontend(CommonOptions& common,
                       const std::vector<std::string>& inputs,
                       const char* tool) {
@@ -235,15 +271,15 @@ bool resolve_frontend(CommonOptions& common,
   for (const std::string& input : inputs) {
     const std::optional<frontend::Language> detected = detect(input);
     if (!detected.has_value()) continue;
-    if (common.frontend_set && *detected != common.frontend) {
+    if (common.frontend && *detected != *common.frontend) {
       std::fprintf(stderr,
                    "%s: --frontend=%.*s contradicts input '%s', which is a "
                    "%.*s source; drop the flag to auto-detect, or compile it "
                    "in a separate invocation\n",
                    tool,
-                   static_cast<int>(frontend::language_name(common.frontend)
+                   static_cast<int>(frontend::language_name(*common.frontend)
                                         .size()),
-                   frontend::language_name(common.frontend).data(),
+                   frontend::language_name(*common.frontend).data(),
                    input.c_str(),
                    static_cast<int>(frontend::language_name(*detected).size()),
                    frontend::language_name(*detected).data());
@@ -265,38 +301,27 @@ bool resolve_frontend(CommonOptions& common,
       return false;
     }
   }
-  if (!common.frontend_set && inferred.has_value()) {
-    common.frontend = *inferred;
-    common.frontend_set = true;
-  }
+  if (!common.frontend) common.frontend = inferred;
   return true;
 }
 
 driver::PipelineOptions apply(const CommonOptions& common,
-                              const driver::PipelineOptions& base,
+                              driver::PipelineOptions base,
                               telemetry::Tracer* tracer) {
-  driver::PipelineOptions options = base;
-  if (common.verify_hli_set) options = options.with_verify(common.verify_hli);
-  if (common.emit_set) options = options.with_encoding(common.emit);
-  if (common.audit_deps_set) options = options.with_audit_deps(common.audit_deps);
-  if (common.analyze_loops_set) {
-    options = options.with_analyze_loops(common.analyze_loops);
-  }
-  if (common.irdep_fallback_set) {
-    options = options.with_irdep_fallback(common.irdep_fallback);
-  }
-  if (common.exec_threads_set) {
-    options = options.with_exec_threads(common.exec_threads);
-  }
-  if (common.frontend_set) options = options.with_language(common.frontend);
-  if (common.open_world_set) {
-    options = options.with_open_world_params(common.open_world);
-  }
-  if (common.stats != StatsFormat::Off) options = options.with_counters();
+  base.verify_hli = common.verify_hli.value_or(base.verify_hli);
+  base.hli_encoding = common.emit.value_or(base.hli_encoding);
+  base.audit_deps = common.audit_deps.value_or(base.audit_deps);
+  base.analyze_loops = common.analyze_loops.value_or(base.analyze_loops);
+  base.irdep_fallback = common.irdep_fallback.value_or(base.irdep_fallback);
+  base.exec_threads = common.exec_threads.value_or(base.exec_threads);
+  frontend::FrontendOptions& fe = base.frontend_options;
+  fe.language = common.frontend.value_or(fe.language);
+  fe.open_world_params = common.open_world.value_or(fe.open_world_params);
+  if (common.stats != StatsFormat::Off) base.telemetry.counters = true;
   if (!common.trace_out.empty() && tracer != nullptr) {
-    options = options.with_tracer(tracer);
+    base.telemetry.tracer = tracer;
   }
-  return options;
+  return base;
 }
 
 std::string render_counters_json(const telemetry::CounterSet& counters) {

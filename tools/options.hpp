@@ -1,4 +1,4 @@
-// Shared command-line vocabulary for the hli tools (hlic, hlifuzz).
+// Shared command-line vocabulary for the hli tools (hlic, hlid, hlifuzz).
 //
 // Every tool that drives the pipeline accepts the same shared flags with
 // the same spellings and the same error messages:
@@ -18,13 +18,17 @@
 //                               (auto-detected from .c/.bas extensions
 //                               and workload names when absent)
 //   --open-world-params         open-world linkage for C pointer params
+//   --exec-threads[=]N          run planned parallel loops on N lanes
 //
 // A tool's argument loop calls `parse_common_flag` first and falls
 // through to its own flags only on NotMine, so the shared flags cannot
 // drift apart between tools.
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "driver/parallel.hpp"
@@ -41,48 +45,35 @@ enum class StatsFormat : std::uint8_t {
   Json,   ///< One JSON document, byte-identical for any --jobs value.
 };
 
-/// The shared flags, parsed but not yet applied.  The *_set bools
-/// let a tool distinguish "flag absent" from "flag at its default" —
-/// hlifuzz only overrides its matrix when the user actually asked.
+/// The shared flags, parsed but not yet applied.  An empty optional
+/// means the flag was absent, so apply() (and hlifuzz's matrix) keeps the
+/// preset's value.
 struct CommonOptions {
-  driver::VerifyMode verify_hli = driver::VerifyMode::Off;
-  bool verify_hli_set = false;
-  driver::HliEncoding emit = driver::HliEncoding::Text;
-  bool emit_set = false;
+  std::optional<driver::VerifyMode> verify_hli;
+  std::optional<driver::HliEncoding> emit;
   unsigned jobs = 0;  ///< 0: driver default (all cores).
   std::string trace_out;
   StatsFormat stats = StatsFormat::Off;
   /// --audit-deps: independent RTL-level re-derivation of dependences at
   /// every pass boundary, flagging HLI independence claims it refutes.
-  driver::VerifyMode audit_deps = driver::VerifyMode::Off;
-  bool audit_deps_set = false;
+  std::optional<driver::VerifyMode> audit_deps;
   /// --analyze=loops: classify every loop DOALL/DOACROSS(d)/Serial.
-  bool analyze_loops = false;
-  bool analyze_loops_set = false;
+  std::optional<bool> analyze_loops;
   /// --irdep-fallback: AND the independent analyzer's answers into every
   /// CSE/LICM/scheduler dependence test.
-  bool irdep_fallback = false;
-  bool irdep_fallback_set = false;
+  std::optional<bool> irdep_fallback;
   /// --exec-threads=N: run planned DOALL/DOACROSS loops on N execution
   /// lanes (1 = serial; results are byte-identical at any value).
-  unsigned exec_threads = 1;
-  bool exec_threads_set = false;
+  std::optional<unsigned> exec_threads;
   /// --frontend=c|basic: which front-end compiles the inputs.  When the
   /// flag is absent, resolve_frontend infers it from the inputs (file
   /// extension or workload registry); a whole batch compiles with ONE
   /// front-end.
-  frontend::Language frontend = frontend::Language::C;
-  bool frontend_set = false;
+  std::optional<frontend::Language> frontend;
   /// --open-world-params: open-world linkage for C pointer parameters
   /// (frontend::FrontendOptions::open_world_params).  C-only; the
   /// pipeline rejects it with --frontend=basic.
-  bool open_world = false;
-  bool open_world_set = false;
-
-  /// True when --stats or --trace-out asked for telemetry collection.
-  [[nodiscard]] bool wants_telemetry() const {
-    return stats != StatsFormat::Off || !trace_out.empty();
-  }
+  std::optional<bool> open_world;
 };
 
 enum class ParseStatus : std::uint8_t {
@@ -97,28 +88,65 @@ enum class ParseStatus : std::uint8_t {
                                             const char* tool,
                                             CommonOptions& out);
 
+/// Tries to consume argv[i] as one of the back-end flags hlic and hlid
+/// accept (hlifuzz runs a fixed matrix instead), writing straight into
+/// `pipeline`:
+///
+///   --no-hli       compile with the native oracle only (use_hli = false)
+///   --unroll[=N]   loop unrolling at factor N (default 4, N >= 2)
+[[nodiscard]] ParseStatus parse_pipeline_flag(std::string_view arg,
+                                              const char* tool,
+                                              driver::PipelineOptions& pipeline);
+
+/// The checked decimal parse behind every numeric flag: digits only, no
+/// sign, and a value in [min, max].  Anything else prints
+/// "<tool>: <flag> expects an integer from <min> to <max>, got '<text>'"
+/// to stderr and returns nullopt.
+[[nodiscard]] std::optional<std::uint64_t> parse_number(std::string_view text,
+                                                        const char* flag,
+                                                        const char* tool,
+                                                        std::uint64_t min,
+                                                        std::uint64_t max);
+
+/// HOST:PORT for `flag` (hlic --remote, hlid --connect), the port checked
+/// by parse_number from 1 to 65535.  False, with the message on stderr,
+/// on anything else.
+[[nodiscard]] bool parse_host_port(std::string_view value, const char* flag,
+                                   const char* tool, std::string& host,
+                                   int& port);
+
+/// `--flag value` or `--flag=value`: stores the value in `out` (advancing
+/// `i` past a separate value) and returns true when argv[i] is `name`.
+[[nodiscard]] bool flag_value(int argc, char** argv, int& i, const char* name,
+                              std::string& out);
+
 /// The usage lines for the shared flags (embed in each tool's usage()).
 [[nodiscard]] const char* common_usage();
+
+/// Reads `input` — a built-in workload name or a source path — into
+/// `source`.  False, with the message on stderr, when it is neither.
+[[nodiscard]] bool load_source(const std::string& input, const char* tool,
+                               std::string& source);
 
 /// Settles which front-end compiles `inputs` (each a source path or a
 /// built-in workload name).  Without --frontend the language is inferred
 /// per input — `.bas` / BASIC workloads select the BASIC front-end, `.c`
 /// / mini-C workloads the C one — and the batch must agree; with the
 /// flag, any input whose detected language contradicts it is an error.
-/// On success `common.frontend` holds the batch's language (and
-/// `frontend_set` is true so apply() threads it into the pipeline).
+/// On success `common.frontend` holds the batch's language when any input
+/// names one, so apply() threads it into the pipeline.
 /// False = mixed or contradictory batch; the actionable message is
 /// already on stderr.
 [[nodiscard]] bool resolve_frontend(CommonOptions& common,
                                     const std::vector<std::string>& inputs,
                                     const char* tool);
 
-/// Applies verify/emit/telemetry onto a PipelineOptions through its
-/// fluent layer.  `tracer` (may be null) is the tool-owned Tracer
-/// --trace-out events go to; counters turn on when --stats asked.
-[[nodiscard]] driver::PipelineOptions apply(
-    const CommonOptions& common, const driver::PipelineOptions& base,
-    telemetry::Tracer* tracer);
+/// Assigns every shared flag that was given onto a copy of `base`.
+/// `tracer` (may be null) is the tool-owned Tracer --trace-out events go
+/// to; counters turn on when --stats asked.
+[[nodiscard]] driver::PipelineOptions apply(const CommonOptions& common,
+                                            driver::PipelineOptions base,
+                                            telemetry::Tracer* tracer);
 
 /// `{"name":value,...}` with names sorted — the deterministic rendering
 /// of one counter scope.
