@@ -109,3 +109,27 @@ if [[ -n "$unchecked" ]]; then
   exit 1
 fi
 echo "layering: ok (tools/ parse numbers only through tools::parse_number)"
+
+# One loop-independence verdict: the irdep ∪ HLI rule over a loop's
+# store pairs lives in irdep::loop_verdict (src/analysis/irdep/
+# classify.cpp), which the loop classifier and the parexec planner both
+# read.  A call of hli_carried( or of an analyzer's .carried( anywhere
+# else in src/ or tools/ is a second copy of that rule and fails here
+# with its file:line.  Comment lines do not count.
+carried_calls=$(
+  grep -rnE '(\bhli_carried|\.carried)[[:space:]]*\(' \
+      --include='*.hpp' --include='*.cpp' --include='*.h' --include='*.cc' \
+      src tools \
+    | grep -v '^src/analysis/irdep/' \
+    | grep -vE '^[^:]+:[0-9]+:[[:space:]]*(//|/?\*)' \
+    || true
+)
+
+if [[ -n "$carried_calls" ]]; then
+  echo "layering: loop-carried dependence tested outside src/analysis/irdep/" >&2
+  echo "(read irdep::loop_verdict instead of pairing carried() with" >&2
+  echo "hli_carried() again)" >&2
+  echo "$carried_calls" >&2
+  exit 1
+fi
+echo "layering: ok (one loop-independence verdict, in src/analysis/irdep/)"

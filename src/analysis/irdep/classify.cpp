@@ -22,28 +22,6 @@ const telemetry::Counter c_loops_serial =
 const telemetry::Counter c_loops_upgraded =
     telemetry::counter("irdep.loops_upgraded");
 
-/// Accumulates per-loop dependence evidence into a classification.
-struct Verdict {
-  bool serial = false;
-  std::string reason;  ///< First blocking fact.
-  bool any_carried = false;
-  std::int64_t min_distance = 0;
-
-  void block(const std::string& why) {
-    if (!serial) reason = why;
-    serial = true;
-  }
-  void carried(std::int64_t distance) {
-    if (!any_carried || distance < min_distance) min_distance = distance;
-    any_carried = true;
-  }
-
-  [[nodiscard]] LoopClass cls() const {
-    if (serial) return LoopClass::Serial;
-    return any_carried ? LoopClass::Doacross : LoopClass::Doall;
-  }
-};
-
 int rank(LoopClass c) {
   switch (c) {
     case LoopClass::Serial:
@@ -56,53 +34,50 @@ int rank(LoopClass c) {
   return 0;
 }
 
-/// Register recurrences: a register both defined and read inside the
-/// loop carries a value across iterations unless the loop is canonical
-/// (position order == execution order over the whole iteration) and its
-/// first in-loop definition precedes every in-loop read.  The verified
-/// induction register of a canonical loop is exempt (a parallelizing
-/// transform privatizes it).
-void scan_recurrences(const FunctionModel& model, const LoopShape& loop,
-                      Verdict& irdep, Verdict& combined) {
-  struct RegInfo {
-    std::uint32_t min_def = UINT32_MAX;
-    std::uint32_t min_read = UINT32_MAX;
-  };
-  std::map<backend::Reg, RegInfo> regs;
-  for (std::size_t p = loop.beg + 1; p < loop.end; ++p) {
-    const Insn& insn = model.func().insns[p];
-    const auto pos = static_cast<std::uint32_t>(p);
-    const backend::Reg rd = backend::def_of(insn);
-    if (rd != backend::kNoReg) {
-      auto& info = regs[rd];
-      info.min_def = std::min(info.min_def, pos);
-    }
-    backend::for_each_read(insn, [&](backend::Reg r) {
-      auto& info = regs[r];
-      info.min_read = std::min(info.min_read, pos);
-    });
-  }
-  for (const auto& [reg, info] : regs) {
-    if (info.min_def == UINT32_MAX || info.min_read == UINT32_MAX) continue;
-    if (loop.canonical) {
-      if (reg == loop.induction) continue;
-      if (info.min_def < info.min_read) continue;
-    }
-    // A register recurrence is a distance-1 carried dependence; HLI has
-    // no facts about virtual registers, so both columns keep it.
-    std::ostringstream why;
-    why << "recurrence:r" << reg;
-    irdep.carried(1);
-    combined.carried(1);
-    if (irdep.reason.empty()) irdep.reason = why.str();
-    if (combined.reason.empty()) combined.reason = why.str();
-  }
-}
-
 std::string pair_reason(const char* what, const Insn& a, const Insn& b) {
   std::ostringstream out;
   out << what << ":line" << a.line << "~line" << b.line;
   return out.str();
+}
+
+/// Folds a pair with no distance bound into `v`: SERIAL, and the first
+/// such pair is the reason.
+void block(MemoryVerdict& v, const Insn& a, const Insn& b) {
+  if (v.cls != LoopClass::Serial) {
+    v = {LoopClass::Serial, 0, pair_reason("may-dep", a, b)};
+  }
+}
+
+/// Folds a pair carried at distances >= `d` into `v`.
+void carry(MemoryVerdict& v, std::int64_t d, const Insn& a, const Insn& b) {
+  if (v.cls == LoopClass::Doall) {
+    v = {LoopClass::Doacross, d, pair_reason("carried", a, b)};
+  } else if (v.cls == LoopClass::Doacross) {
+    v.distance = std::min(v.distance, d);
+  }
+}
+
+/// One report column: an impure call (its effects are per-class, not
+/// per-iteration, so no column can order them across iterations) or a
+/// blocking memory pair makes it SERIAL.  Otherwise every carried
+/// register is a distance-1 dependence — HLI has no facts about virtual
+/// registers, so both columns keep it — next to the pairs' distances.
+MemoryVerdict column(const LoopVerdict& verdict, const MemoryVerdict& memory,
+                     const backend::RtlFunction& func) {
+  if (verdict.impure_call) {
+    return {LoopClass::Serial, 0,
+            "impure-call:" + func.insns[*verdict.impure_call].callee};
+  }
+  if (memory.cls == LoopClass::Serial || verdict.carried_regs.empty()) {
+    return memory;
+  }
+  MemoryVerdict out{
+      LoopClass::Doacross, 1,
+      "recurrence:r" + std::to_string(verdict.carried_regs.front().reg)};
+  if (memory.cls == LoopClass::Doacross) {
+    out.distance = std::min(out.distance, memory.distance);
+  }
+  return out;
 }
 
 }  // namespace
@@ -164,6 +139,83 @@ HliCarried hli_carried(const query::HliUnitView& view, format::RegionId region,
   return out;
 }
 
+LoopVerdict loop_verdict(FunctionDepInfo& fdi, const LoopShape& loop,
+                         const query::HliUnitView* view) {
+  const backend::RtlFunction& func = fdi.model().func();
+  LoopVerdict out;
+  std::vector<std::uint32_t> mems;
+  std::map<backend::Reg, CarriedReg> regs;
+  for (std::uint32_t p = loop.beg + 1; p < loop.end; ++p) {
+    const Insn& insn = func.insns[p];
+    if (backend::is_memory_op(insn.op)) {
+      mems.push_back(p);
+    } else if (insn.op == Opcode::Call && !out.impure_call &&
+               !fdi.program().call_pure(insn.callee)) {
+      out.impure_call = p;
+    }
+    const backend::Reg rd = backend::def_of(insn);
+    if (rd != backend::kNoReg) {
+      CarriedReg& info = regs[rd];
+      if (info.defs++ == 0) info.first_def = p;
+    }
+    backend::for_each_read(insn, [&](backend::Reg r) {
+      CarriedReg& info = regs[r];
+      if (info.reads++ == 0) info.first_read = p;
+    });
+  }
+  // Register recurrences.  The verified induction register of a
+  // canonical loop is exempt: a parallelizing transform privatizes it.
+  for (auto& [reg, info] : regs) {
+    if (info.defs == 0 || info.reads == 0) continue;
+    if (loop.canonical) {
+      if (reg == loop.induction) continue;
+      if (info.first_def < info.first_read) continue;
+    }
+    info.reg = reg;
+    out.carried_regs.push_back(info);
+  }
+
+  // Every store-involving pair, in position order.  A combined-column
+  // block implies an irdep-column block, and a SERIAL column never
+  // changes again, so the scan stops at the first combined block.
+  const format::RegionId region = func.insns[loop.beg].loop_region;
+  const auto combined_open = [&out] {
+    return out.combined.cls != LoopClass::Serial;
+  };
+  for (std::size_t i = 0; i < mems.size() && combined_open(); ++i) {
+    for (std::size_t j = i; j < mems.size() && combined_open(); ++j) {
+      const Insn& ia = func.insns[mems[i]];
+      const Insn& ib = func.insns[mems[j]];
+      if (ia.op != Opcode::Store && ib.op != Opcode::Store) continue;
+      const CarriedDep cd = fdi.carried(loop.beg, mems[i], mems[j]);
+      if (cd.dep == Dep::No) continue;
+      if (cd.distance_known) {
+        carry(out.irdep, cd.min_distance, ia, ib);
+      } else {
+        block(out.irdep, ia, ib);
+      }
+
+      // Combined column: strongest of the two fact sources.
+      HliCarried hc;
+      if (view != nullptr) {
+        hc = hli_carried(*view, region, ia.mem.hli_item, ib.mem.hli_item);
+      }
+      if (hc.answered && hc.none) continue;
+      if (cd.distance_known || (hc.answered && hc.distance_known)) {
+        // Both are lower bounds on the real distance set; the larger
+        // bound is the stronger combined claim.
+        std::int64_t d = 0;
+        if (cd.distance_known) d = cd.min_distance;
+        if (hc.answered && hc.distance_known) d = std::max(d, hc.min_distance);
+        carry(out.combined, d, ia, ib);
+      } else {
+        block(out.combined, ia, ib);
+      }
+    }
+  }
+  return out;
+}
+
 const char* to_string(LoopClass c) {
   switch (c) {
     case LoopClass::Doall:
@@ -192,83 +244,20 @@ std::vector<LoopReport> classify_function(const ProgramDepInfo& prog,
     report.line = beg.line;
     report.innermost = loop.innermost;
 
-    Verdict irdep;
-    Verdict combined;
-    if (!loop.innermost) {
-      // Only innermost loops are analyzed; outer loops make no claim.
-      irdep.block("non-innermost");
-      combined.block("non-innermost");
-    } else {
-      std::vector<std::size_t> mems;
-      for (std::size_t p = loop.beg + 1; p < loop.end; ++p) {
-        const Insn& insn = func.insns[p];
-        if (backend::is_memory_op(insn.op)) {
-          mems.push_back(p);
-        } else if (insn.op == Opcode::Call &&
-                   !prog.call_pure(insn.callee)) {
-          // Impure call: its effects are per-class, not per-iteration —
-          // no column can order them across iterations.
-          irdep.block("impure-call:" + insn.callee);
-          combined.block("impure-call:" + insn.callee);
-        }
-      }
-      scan_recurrences(model, loop, irdep, combined);
-
-      for (std::size_t i = 0; i < mems.size(); ++i) {
-        for (std::size_t j = i; j < mems.size(); ++j) {
-          const Insn& ia = func.insns[mems[i]];
-          const Insn& ib = func.insns[mems[j]];
-          if (ia.op != Opcode::Store && ib.op != Opcode::Store) continue;
-          const CarriedDep cd = fdi.carried(loop.beg, mems[i], mems[j]);
-
-          if (cd.dep != Dep::No) {
-            if (cd.distance_known) {
-              irdep.carried(cd.min_distance);
-              if (irdep.reason.empty()) {
-                irdep.reason = pair_reason("carried", ia, ib);
-              }
-            } else {
-              irdep.block(pair_reason("may-dep", ia, ib));
-            }
-          }
-
-          // Combined column: strongest of the two fact sources.
-          if (cd.dep == Dep::No) continue;
-          HliCarried hc;
-          if (view != nullptr) {
-            hc = hli_carried(*view, report.region, ia.mem.hli_item,
-                             ib.mem.hli_item);
-          }
-          if (hc.answered && hc.none) continue;
-          if (cd.distance_known || (hc.answered && hc.distance_known)) {
-            // Both are lower bounds on the real distance set; the larger
-            // bound is the stronger combined claim.
-            std::int64_t d = 0;
-            if (cd.distance_known) d = cd.min_distance;
-            if (hc.answered && hc.distance_known) {
-              d = std::max(d, hc.min_distance);
-            }
-            combined.carried(d);
-            if (combined.reason.empty()) {
-              combined.reason = pair_reason("carried", ia, ib);
-            }
-          } else {
-            combined.block(pair_reason("may-dep", ia, ib));
-          }
-        }
-      }
+    // Only innermost loops are analyzed; outer loops make no claim.
+    MemoryVerdict irdep{LoopClass::Serial, 0, "non-innermost"};
+    MemoryVerdict combined = irdep;
+    if (loop.innermost) {
+      const LoopVerdict verdict = loop_verdict(fdi, loop, view);
+      irdep = column(verdict, verdict.irdep, func);
+      combined = column(verdict, verdict.combined, func);
     }
-
-    report.irdep_class = irdep.cls();
+    report.irdep_class = irdep.cls;
+    report.irdep_distance = irdep.distance;
     report.irdep_reason = irdep.reason;
-    if (report.irdep_class == LoopClass::Doacross) {
-      report.irdep_distance = irdep.min_distance;
-    }
-    report.combined_class = combined.cls();
+    report.combined_class = combined.cls;
+    report.combined_distance = combined.distance;
     report.combined_reason = combined.reason;
-    if (report.combined_class == LoopClass::Doacross) {
-      report.combined_distance = combined.min_distance;
-    }
 
     c_loops_total.add();
     switch (report.irdep_class) {

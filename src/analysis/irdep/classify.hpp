@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -53,8 +54,8 @@ struct LoopReport {
 /// HLI's loop-carried answer for one memory-op pair w.r.t. `region`.
 /// Only may_conflict()==None is an independence proof; Definite LCDD
 /// entries with distances refine the distance set (see classify.cpp for
-/// the soundness argument).  Shared with the parexec planner, which
-/// unions these facts with the analyzer's own carried() answers.
+/// the soundness argument).  loop_verdict unions these facts with the
+/// analyzer's own carried() answers.
 struct HliCarried {
   bool answered = false;  ///< Items mapped and region known.
   bool none = false;      ///< Provably no dependence (disjoint classes).
@@ -65,6 +66,52 @@ struct HliCarried {
 [[nodiscard]] HliCarried hli_carried(const query::HliUnitView& view,
                                      format::RegionId region,
                                      format::ItemId a, format::ItemId b);
+
+/// What the store-involving memory pairs of a loop allow under one fact
+/// source: DOALL (no carried dependence), DOACROSS at the minimum carried
+/// distance, or SERIAL (some pair has no distance bound).
+struct MemoryVerdict {
+  LoopClass cls = LoopClass::Doall;
+  std::int64_t distance = 0;  ///< Min carried distance (Doacross only).
+  /// The first may-dep pair when SERIAL, else the first carried pair
+  /// ("may-dep:lineA~lineB" / "carried:lineA~lineB"; empty for DOALL).
+  std::string reason;
+};
+
+/// A register both defined and read inside a loop whose value can flow
+/// from one iteration into the next.
+struct CarriedReg {
+  backend::Reg reg = backend::kNoReg;
+  std::uint32_t first_def = 0;   ///< Position of its first in-loop def.
+  std::uint32_t first_read = 0;  ///< Position of its first in-loop read.
+  std::uint32_t defs = 0;
+  std::uint32_t reads = 0;
+};
+
+/// The loop-independence evidence of one innermost loop, the one place
+/// the analyzer's carried() answers meet the HLI LCDD table.  The loop
+/// classifier composes its two columns from it; the parexec planner
+/// plans from the combined memory verdict and the carried registers.
+struct LoopVerdict {
+  MemoryVerdict irdep;     ///< Analyzer facts alone.
+  MemoryVerdict combined;  ///< Analyzer united with HLI (== irdep w/o view).
+  /// Ascending by register.  A canonical loop exempts its induction
+  /// register (privatized by any parallelizing transform) and every
+  /// register defined before it is first read (position order is
+  /// execution order over one canonical iteration).
+  std::vector<CarriedReg> carried_regs;
+  /// Position of the first call to a function that is not provably
+  /// memoryless and IO-free; nullopt when every call is pure.
+  std::optional<std::uint32_t> impure_call;
+};
+
+/// Collects the verdict for `loop` of `fdi`'s function.  `view`
+/// (nullable) supplies the HLI tables for the combined column; each
+/// store-involving pair then takes the larger of the two distance
+/// bounds, since both are sound lower bounds.
+[[nodiscard]] LoopVerdict loop_verdict(FunctionDepInfo& fdi,
+                                       const LoopShape& loop,
+                                       const query::HliUnitView* view);
 
 /// Classifies every loop of `func`.  `view` (nullable) supplies the HLI
 /// tables for the combined column; without it the columns are equal.

@@ -2,13 +2,15 @@
 // stream safe for multi-threaded execution and annotates them with
 // LoopPlans (plan.hpp) the interpreter dispatches at exec_threads > 1.
 //
-// Evidence comes from the union of two fact sources, exactly like the
-// combined column of the loop classifier (analysis/irdep/classify.hpp):
-// the independent RTL-level analyzer's carried() answers and — when an
-// HLI unit is available — the HLI equivalence-class / LCDD tables.
-// Either source alone can prove a loop (so planning works in no-HLI
-// irdep_fallback builds), and each store pair takes the STRONGER of the
-// two distance bounds.
+// Dependence evidence is irdep::loop_verdict (analysis/irdep/
+// classify.hpp), the same verdict the loop classifier's columns are
+// composed from, recomputed on the final stream.  Its combined memory
+// verdict unions the independent RTL-level analyzer's carried() answers
+// with — when an HLI unit is available — the HLI equivalence-class /
+// LCDD tables, each store pair taking the STRONGER distance bound, so
+// either source alone can prove a loop (planning works in no-HLI
+// irdep_fallback builds).  A SERIAL combined verdict rejects the loop
+// with its may-dep reason; otherwise its distance is the plan's.
 //
 // Planning is strictly more demanding than classification: beyond "no
 // short-distance carried dependence" the loop must be executable out of

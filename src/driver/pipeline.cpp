@@ -87,6 +87,13 @@ std::vector<std::string> PipelineOptions::validate() const {
         "needs at least one lane; set exec_threads >= 1 (--exec-threads=N; "
         "1 = serial execution)");
   }
+  if (exec_threads > kMaxThreads) {
+    problems.push_back(
+        "exec_threads is " + std::to_string(exec_threads) +
+        ": a run starts one thread per lane, and at most " +
+        std::to_string(kMaxThreads) + " are allowed; set exec_threads <= " +
+        std::to_string(kMaxThreads) + " (--exec-threads=N)");
+  }
   if (frontend_options.language == frontend::Language::Basic &&
       frontend_options.open_world_params) {
     problems.emplace_back(

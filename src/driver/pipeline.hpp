@@ -98,6 +98,11 @@ class UnitCache {
   virtual void insert(const UnitCacheKey& key, CachedUnit value) = 0;
 };
 
+/// Upper bound on every thread count a tool or request can ask for:
+/// execution lanes (exec_threads, --exec-threads), compile jobs (--jobs,
+/// hlid --compile-jobs) and hlid request workers (--workers).
+inline constexpr unsigned kMaxThreads = 256;
+
 /// Pipeline configuration: start from a named preset and assign fields.
 ///
 ///   auto options = driver::PipelineOptions::paper_table2();

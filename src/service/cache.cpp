@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "support/string_utils.hpp"
-
 namespace hli::service {
 
 const ServiceCounters& service_counters() {
@@ -22,11 +20,10 @@ const ServiceCounters& service_counters() {
   return counters;
 }
 
-CompileCache::CompileCache(std::size_t max_entries, std::size_t shards)
+CompileCache::CompileCache(std::size_t max_entries)
     : ids_(service_counters()),  // Registers ids before counters_ sizes.
       capacity_(std::max<std::size_t>(1, max_entries)) {
-  const std::size_t shard_count =
-      std::clamp<std::size_t>(shards, 1, capacity_);
+  const std::size_t shard_count = std::min(kShards, capacity_);
   shards_.reserve(shard_count);
   for (std::size_t i = 0; i < shard_count; ++i) {
     auto shard = std::make_unique<Shard>();
@@ -102,20 +99,28 @@ ResponseCache::ResponseCache(std::size_t max_entries)
     : ids_(service_counters()),
       capacity_(std::max<std::size_t>(1, max_entries)) {}
 
-std::uint64_t ResponseCache::key(std::string_view options_text,
-                                 std::string_view store_path,
-                                 const std::vector<std::string>& sources) {
-  std::uint64_t h = support::fnv1a64(options_text);
-  h = support::fnv1a64(store_path, support::fnv1a64_mix(store_path.size(), h));
-  h = support::fnv1a64_mix(sources.size(), h);
-  for (const std::string& source : sources) {
-    h = support::fnv1a64(source, support::fnv1a64_mix(source.size(), h));
-  }
-  return h;
+namespace {
+
+void append_part(std::string& out, std::string_view part) {
+  const std::uint64_t size = part.size();
+  out.append(reinterpret_cast<const char*>(&size), sizeof size);
+  out.append(part);
+}
+
+}  // namespace
+
+std::string ResponseCache::key(std::string_view options_text,
+                               std::string_view store_path,
+                               const std::vector<std::string>& sources) {
+  std::string out;
+  append_part(out, options_text);
+  append_part(out, store_path);
+  for (const std::string& source : sources) append_part(out, source);
+  return out;
 }
 
 std::shared_ptr<const std::string> ResponseCache::lookup(
-    std::uint64_t key, std::size_t* unit_count) {
+    std::string_view key, std::size_t* unit_count) {
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = by_key_.find(key);
   if (it == by_key_.end()) return nullptr;
@@ -125,14 +130,14 @@ std::shared_ptr<const std::string> ResponseCache::lookup(
   return it->second->payload;
 }
 
-void ResponseCache::insert(std::uint64_t key, std::string payload,
+void ResponseCache::insert(std::string key, std::string payload,
                            std::size_t unit_count) {
   const std::lock_guard<std::mutex> lock(mutex_);
   if (by_key_.count(key) != 0) return;  // Racing duplicate; keep first.
   lru_.push_front(Entry{
-      key, std::make_shared<const std::string>(std::move(payload)),
+      std::move(key), std::make_shared<const std::string>(std::move(payload)),
       unit_count});
-  by_key_.emplace(key, lru_.begin());
+  by_key_.emplace(lru_.front().key, lru_.begin());
   while (lru_.size() > capacity_) {
     by_key_.erase(lru_.back().key);
     lru_.pop_back();

@@ -6,8 +6,9 @@
 //     touch disjoint locks, each shard an LRU bounded in entries.  This
 //     is the layer that makes an unchanged unit never recompile: a hit
 //     splices byte-identical RTL/HLI/stats back into the pipeline.
-//   * ResponseCache — whole-request memoization keyed by (options text,
-//     store path, source bytes): an unchanged REQUEST skips even the
+//   * ResponseCache — whole-request memoization keyed by the (options
+//     text, store path, source bytes) of the request itself, compared
+//     byte for byte on every hit: an unchanged REQUEST skips even the
 //     front-end and lowering, which is what pushes the warm/cold
 //     latency ratio past the 5x acceptance bar.  Sound because service
 //     responses are pure functions of exactly those inputs.
@@ -50,10 +51,12 @@ struct ServiceCounters {
 /// shared_ptr so an evicted unit stays valid for readers mid-splice.
 class CompileCache : public driver::UnitCache {
  public:
-  /// `max_entries` total across shards (minimum 1).  `shards` is clamped
-  /// to [1, max_entries] so a cache-size-1 configuration still evicts
-  /// globally, not per-shard.
-  explicit CompileCache(std::size_t max_entries, std::size_t shards = 8);
+  /// Shard count, clamped to the capacity so a cache-size-1
+  /// configuration still evicts globally, not per-shard.
+  static constexpr std::size_t kShards = 8;
+
+  /// `max_entries` total across shards (minimum 1).
+  explicit CompileCache(std::size_t max_entries);
 
   [[nodiscard]] std::shared_ptr<const driver::CachedUnit> lookup(
       const driver::UnitCacheKey& key) override;
@@ -109,15 +112,17 @@ class ResponseCache {
  public:
   explicit ResponseCache(std::size_t max_entries);
 
-  /// Stable key over everything a response depends on.
-  [[nodiscard]] static std::uint64_t key(std::string_view options_text,
-                                         std::string_view store_path,
-                                         const std::vector<std::string>& sources);
+  /// Everything a response depends on, each part length-delimited so no
+  /// two distinct requests share a key (sources "ab","c" differ from
+  /// "a","bc").
+  [[nodiscard]] static std::string key(std::string_view options_text,
+                                       std::string_view store_path,
+                                       const std::vector<std::string>& sources);
 
   /// The cached response payload for `key`, or empty shared_ptr.
   [[nodiscard]] std::shared_ptr<const std::string> lookup(
-      std::uint64_t key, std::size_t* unit_count = nullptr);
-  void insert(std::uint64_t key, std::string payload, std::size_t unit_count);
+      std::string_view key, std::size_t* unit_count = nullptr);
+  void insert(std::string key, std::string payload, std::size_t unit_count);
 
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] telemetry::CounterSet counters() const {
@@ -126,7 +131,7 @@ class ResponseCache {
 
  private:
   struct Entry {
-    std::uint64_t key = 0;
+    std::string key;
     std::shared_ptr<const std::string> payload;
     std::size_t unit_count = 0;
   };
@@ -135,7 +140,9 @@ class ResponseCache {
   const ServiceCounters& ids_;
   mutable std::mutex mutex_;
   std::list<Entry> lru_;
-  std::unordered_map<std::uint64_t, std::list<Entry>::iterator> by_key_;
+  /// Views into each entry's own key (list nodes never move): a lookup
+  /// hashes the whole request and compares it in full.
+  std::unordered_map<std::string_view, std::list<Entry>::iterator> by_key_;
   std::size_t capacity_;
   mutable telemetry::AtomicCounterSet counters_;
 };

@@ -1,7 +1,6 @@
 // Thin blocking client for the hlid compile service: one socket, one
-// outstanding request at a time.  `hlic --remote` and `hlid --client`
-// are built on this, as are the tests/service/ harness and the hlifuzz
-// service leg.  Throws ServiceError on protocol problems and on Error
+// outstanding request at a time.  `hlid --client` is built on this, as
+// are the tests/service/ harness and the hlifuzz service leg.  Throws ServiceError on protocol problems and on Error
 // frames from the server (the server's ErrorCode is preserved).
 #pragma once
 

@@ -98,7 +98,7 @@ Server::Connection::~Connection() {
 
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
-      unit_cache_(options_.cache_entries, options_.cache_shards),
+      unit_cache_(options_.cache_entries),
       response_cache_(options_.response_entries) {
   tcp_fd_ = listen_tcp(options_.port, tcp_port_);
   if (!options_.unix_path.empty()) {
@@ -343,7 +343,7 @@ void Server::handle_request(const Job& job) {
     // Request tier: an unchanged (options, store, sources) triple skips
     // even the front-end.  The body is cached WITHOUT the request id,
     // which is prepended fresh per reply.
-    const std::uint64_t response_key =
+    std::string response_key =
         ResponseCache::key(options_field->value, store_path, sources);
     std::size_t cached_units = 0;
     if (const std::shared_ptr<const std::string> body =
@@ -376,7 +376,8 @@ void Server::handle_request(const Job& job) {
       std::string payload;
       append_u64_field(payload, Field::RequestId, request_id);
       payload += response_body;
-      response_cache_.insert(response_key, std::move(response_body), units);
+      response_cache_.insert(std::move(response_key), std::move(response_body),
+                             units);
       send_frame(*job.conn, FrameType::Response, payload);
     }
   } catch (const ServiceError& e) {

@@ -46,9 +46,8 @@ struct ServerOptions {
   unsigned workers = 0;
   /// Jobs handed to compile_many per request batch (0 = hardware).
   unsigned compile_jobs = 1;
-  /// Unit-cache bound (entries) and shard count.
+  /// Unit-cache bound (entries).
   std::size_t cache_entries = 4096;
-  std::size_t cache_shards = 8;
   /// Whole-response cache bound (entries).
   std::size_t response_entries = 128;
 };

@@ -3,6 +3,7 @@
 // fingerprint that keys the compile service's unit cache.
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -97,6 +98,29 @@ TEST(PipelineValidateTest, RejectsDegenerateUnrollFactors) {
 
   opts.unroll_factor = 2;
   EXPECT_TRUE(opts.validate().empty());
+}
+
+TEST(PipelineValidateTest, BoundsExecThreads) {
+  // Checked without compiling or running anything: no lane starts.
+  PipelineOptions opts = PipelineOptions::paper_table2();
+  opts.exec_threads = kMaxThreads;
+  EXPECT_TRUE(opts.validate().empty());
+
+  opts.exec_threads = kMaxThreads + 1;
+  std::vector<std::string> problems = opts.validate();
+  ASSERT_EQ(problems.size(), 1u);
+  EXPECT_NE(problems[0].find("exec_threads is 257"), std::string::npos)
+      << problems[0];
+  EXPECT_NE(problems[0].find("--exec-threads=N"), std::string::npos);
+
+  // A request's exec_threads key decodes into the same field, so the
+  // service rejects it with the same finding.
+  const PipelineOptions wired =
+      service::decode_options(service::encode_options(opts));
+  EXPECT_EQ(wired.validate(), problems);
+
+  opts.exec_threads = UINT_MAX;
+  EXPECT_EQ(opts.validate().size(), 1u);
 }
 
 TEST(PipelineValidateTest, CompileSourceThrowsWithAllFindings) {

@@ -29,7 +29,7 @@ hli::driver::CachedUnit unit_named(const std::string& name) {
 }
 
 TEST(CompileCacheTest, MissThenHit) {
-  CompileCache cache(8, 2);
+  CompileCache cache(8);
   EXPECT_EQ(cache.lookup(key_of(1)), nullptr);
   EXPECT_EQ(cache.misses(), 1u);
   cache.insert(key_of(1), unit_named("f"));
@@ -41,7 +41,7 @@ TEST(CompileCacheTest, MissThenHit) {
 }
 
 TEST(CompileCacheTest, KeyComponentsAllDiscriminate) {
-  CompileCache cache(8, 1);
+  CompileCache cache(8);
   cache.insert(key_of(1, 1, 1), unit_named("f"));
   EXPECT_NE(cache.lookup(key_of(1, 1, 1)), nullptr);
   EXPECT_EQ(cache.lookup(key_of(2, 1, 1)), nullptr) << "rtl_fp ignored";
@@ -50,23 +50,31 @@ TEST(CompileCacheTest, KeyComponentsAllDiscriminate) {
 }
 
 TEST(CompileCacheTest, LruEvictsColdestWithinShard) {
-  CompileCache cache(2, 1);  // One shard: global LRU order.
-  cache.insert(key_of(1), unit_named("a"));
-  cache.insert(key_of(2), unit_named("b"));
-  ASSERT_NE(cache.lookup(key_of(1)), nullptr);  // Refresh 1; 2 is coldest.
-  cache.insert(key_of(3), unit_named("c"));
+  // Two entries per shard; three keys that land in the same shard.
+  CompileCache cache(2 * CompileCache::kShards);
+  std::vector<hli::driver::UnitCacheKey> keys;
+  for (std::uint64_t i = 0; keys.size() < 3; ++i) {
+    if (key_of(i).hash() % CompileCache::kShards ==
+        key_of(0).hash() % CompileCache::kShards) {
+      keys.push_back(key_of(i));
+    }
+  }
+  cache.insert(keys[0], unit_named("a"));
+  cache.insert(keys[1], unit_named("b"));
+  ASSERT_NE(cache.lookup(keys[0]), nullptr);  // Refresh a; b is coldest.
+  cache.insert(keys[2], unit_named("c"));
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_NE(cache.lookup(key_of(1)), nullptr);
-  EXPECT_EQ(cache.lookup(key_of(2)), nullptr) << "hot entry was evicted";
-  EXPECT_NE(cache.lookup(key_of(3)), nullptr);
+  EXPECT_NE(cache.lookup(keys[0]), nullptr);
+  EXPECT_EQ(cache.lookup(keys[1]), nullptr) << "hot entry was evicted";
+  EXPECT_NE(cache.lookup(keys[2]), nullptr);
 }
 
 TEST(CompileCacheTest, CacheSizeOneThrashes) {
   // The acceptance fault config: capacity 1 (shards clamp to 1), every
   // distinct unit evicts the previous one, yet each entry is usable
   // while resident and nothing crashes or leaks.
-  CompileCache cache(1, 8);
+  CompileCache cache(1);
   for (std::uint64_t i = 0; i < 100; ++i) {
     EXPECT_EQ(cache.lookup(key_of(i)), nullptr);
     const std::string name = std::string("u").append(std::to_string(i));
@@ -82,7 +90,7 @@ TEST(CompileCacheTest, CacheSizeOneThrashes) {
 }
 
 TEST(CompileCacheTest, EvictedEntryStaysValidForHolders) {
-  CompileCache cache(1, 1);
+  CompileCache cache(1);
   cache.insert(key_of(1), unit_named("keep"));
   const auto held = cache.lookup(key_of(1));
   ASSERT_NE(held, nullptr);
@@ -92,7 +100,7 @@ TEST(CompileCacheTest, EvictedEntryStaysValidForHolders) {
 }
 
 TEST(CompileCacheTest, DuplicateInsertRefreshesInsteadOfDuplicating) {
-  CompileCache cache(4, 1);
+  CompileCache cache(4);
   cache.insert(key_of(1), unit_named("first"));
   cache.insert(key_of(1), unit_named("second"));  // Racing duplicate.
   EXPECT_EQ(cache.size(), 1u);
@@ -102,7 +110,7 @@ TEST(CompileCacheTest, DuplicateInsertRefreshesInsteadOfDuplicating) {
 }
 
 TEST(CompileCacheTest, ShardsShareTotalCapacity) {
-  CompileCache cache(8, 4);
+  CompileCache cache(8);
   EXPECT_EQ(cache.capacity(), 8u);
   for (std::uint64_t i = 0; i < 64; ++i) {
     cache.insert(key_of(i), unit_named("x"));
@@ -111,7 +119,7 @@ TEST(CompileCacheTest, ShardsShareTotalCapacity) {
 }
 
 TEST(CompileCacheTest, ConcurrentMixedTrafficIsSafe) {
-  CompileCache cache(64, 8);
+  CompileCache cache(64);
   std::vector<std::thread> threads;
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&cache, t] {
@@ -130,20 +138,25 @@ TEST(CompileCacheTest, ConcurrentMixedTrafficIsSafe) {
 
 TEST(ResponseCacheTest, KeyCoversOptionsStoreAndSources) {
   const std::vector<std::string> sources = {"int main() { return 0; }"};
-  const std::uint64_t base = ResponseCache::key("opts", "", sources);
+  const std::string base = ResponseCache::key("opts", "", sources);
   EXPECT_EQ(base, ResponseCache::key("opts", "", sources));
   EXPECT_NE(base, ResponseCache::key("opts2", "", sources));
   EXPECT_NE(base, ResponseCache::key("opts", "/store.hlib", sources));
   EXPECT_NE(base, ResponseCache::key("opts", "", {"int main() { return 1; }"}));
   EXPECT_NE(base, ResponseCache::key("opts", "", {}));
+  // Part boundaries count, not just the concatenated bytes.
+  EXPECT_NE(ResponseCache::key("opts", "", {"ab", "c"}),
+            ResponseCache::key("opts", "", {"a", "bc"}));
+  EXPECT_NE(ResponseCache::key("opts", "x", {"y"}),
+            ResponseCache::key("optsx", "", {"y"}));
 }
 
 TEST(ResponseCacheTest, HitReturnsPayloadAndUnitCount) {
   ResponseCache cache(4);
-  EXPECT_EQ(cache.lookup(1), nullptr);
-  cache.insert(1, "payload-bytes", 7);
+  EXPECT_EQ(cache.lookup("k1"), nullptr);
+  cache.insert("k1", "payload-bytes", 7);
   std::size_t units = 0;
-  const auto hit = cache.lookup(1, &units);
+  const auto hit = cache.lookup("k1", &units);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(*hit, "payload-bytes");
   EXPECT_EQ(units, 7u);
@@ -151,14 +164,14 @@ TEST(ResponseCacheTest, HitReturnsPayloadAndUnitCount) {
 
 TEST(ResponseCacheTest, LruBoundedWithEvictionCounters) {
   ResponseCache cache(2);
-  cache.insert(1, "a", 1);
-  cache.insert(2, "b", 1);
-  ASSERT_NE(cache.lookup(1), nullptr);  // 2 becomes coldest.
-  cache.insert(3, "c", 1);
+  cache.insert("k1", "a", 1);
+  cache.insert("k2", "b", 1);
+  ASSERT_NE(cache.lookup("k1"), nullptr);  // k2 becomes coldest.
+  cache.insert("k3", "c", 1);
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.lookup(2), nullptr);
-  EXPECT_NE(cache.lookup(1), nullptr);
-  EXPECT_NE(cache.lookup(3), nullptr);
+  EXPECT_EQ(cache.lookup("k2"), nullptr);
+  EXPECT_NE(cache.lookup("k1"), nullptr);
+  EXPECT_NE(cache.lookup("k3"), nullptr);
   const hli::telemetry::CounterSet counters = cache.counters();
   EXPECT_EQ(counters.value(service_counters().request_evictions), 1u);
 }

@@ -233,8 +233,7 @@ TEST(ServiceTest, CacheSizeOneThrashStaysCorrect) {
   // request evicts almost everything, and correctness must not depend
   // on residency.
   ServerOptions options;
-  options.cache_entries = 1;
-  options.cache_shards = 8;  // Clamped to capacity internally.
+  options.cache_entries = 1;  // Shards clamp to the capacity.
   options.response_entries = 1;
   ServerFixture fixture(options);
   Client client = fixture.connect();

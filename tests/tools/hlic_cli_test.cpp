@@ -369,10 +369,10 @@ INSTANTIATE_TEST_SUITE_P(
         BadFlag{"--unroll=0", "--unroll expects an integer from 2"},
         BadFlag{"--jobs=abc", "--jobs expects an integer from 0"},
         BadFlag{"--jobs=-1", "--jobs expects an integer from 0"},
-        BadFlag{"--remote=127.0.0.1:abc",
-                "--remote port expects an integer from 1 to 65535"},
-        BadFlag{"--remote=127.0.0.1:70000", "--remote port expects an integer"},
-        BadFlag{"--remote=nohost", "--remote wants HOST:PORT"}));
+        BadFlag{"--jobs=257", "--jobs expects an integer from 0 to 256"},
+        BadFlag{"--exec-threads=257",
+                "--exec-threads expects an integer from 1 to 256"},
+        BadFlag{"--remote=unix:/nonexistent", "unknown option '--remote="}));
 
 TEST(HlicCliTest, UnrollFactorReachesThePipeline) {
   const RunResult four = run_hlic("--unroll=4 --stats 101.tomcatv");

@@ -68,7 +68,6 @@ INSTANTIATE_TEST_SUITE_P(
         BadFlag{"--compile-jobs=99999999999999999999",
                 "--compile-jobs expects an integer"},
         BadFlag{"--cache-size=", "--cache-size expects an integer"},
-        BadFlag{"--cache-shards=4k", "--cache-shards expects an integer"},
         BadFlag{"--response-cache-size=+8",
                 "--response-cache-size expects an integer"},
         BadFlag{"--connect=127.0.0.1:abc",
@@ -79,6 +78,14 @@ INSTANTIATE_TEST_SUITE_P(
         BadFlag{"--unroll=99999999999999999999", "--unroll expects an integer"},
         BadFlag{"--unroll=1", "--unroll expects an integer from 2"},
         BadFlag{"--jobs=many", "--jobs expects an integer"},
-        BadFlag{"--exec-threads=0", "--exec-threads expects an integer from 1"}));
+        BadFlag{"--exec-threads=0", "--exec-threads expects an integer from 1"},
+        BadFlag{"--workers=257",
+                "--workers expects an integer from 0 to 256, got '257'"},
+        BadFlag{"--compile-jobs=257",
+                "--compile-jobs expects an integer from 0 to 256"},
+        BadFlag{"--jobs=257", "--jobs expects an integer from 0 to 256"},
+        BadFlag{"--exec-threads=4294967295",
+                "--exec-threads expects an integer from 1 to 256"},
+        BadFlag{"--cache-shards=8", "unknown option '--cache-shards=8'"}));
 
 }  // namespace

@@ -44,7 +44,6 @@
 #include "hli/dump.hpp"
 #include "hli/serialize.hpp"
 #include "hli/verify.hpp"
-#include "service/client.hpp"
 #include "support/diagnostics.hpp"
 #include "tools/options.hpp"
 #include "workloads/workloads.hpp"
@@ -60,14 +59,6 @@ struct CliOptions {
   bool run = false;
   bool verify_files = false;  ///< Lint mode: inputs are serialized HLI.
   std::string simulate;
-  /// --remote=HOST:PORT or --remote=unix:PATH — compile through a
-  /// running hlid instead of in-process.  Supports --dump-rtl (bytes
-  /// identical to a local compile) and --stats (the service's canonical
-  /// stats text); local-result modes (--run, --simulate, --dump-hli,
-  /// --pretty) stay in-process only.
-  std::string remote;
-  std::string remote_host;  ///< HOST of a --remote=HOST:PORT.
-  int remote_port = 0;
   tools::CommonOptions common;
   driver::PipelineOptions pipeline;
   std::vector<std::string> inputs;
@@ -77,7 +68,6 @@ int usage() {
   std::fprintf(stderr,
                "usage: hlic [--dump-hli] [--pretty] [--dump-rtl] [--run]\n"
                "            [--simulate=r4600|r10000] [--no-hli] [--unroll[=N]]\n"
-               "            [--remote=HOST:PORT|unix:PATH]\n"
                "            [shared flags] <file.c | file.bas | workload-name>...\n"
                "       hlic --verify <file.hli | file.hlib>...\n"
                "       hlic --list-workloads\n"
@@ -106,13 +96,6 @@ bool parse_args(int argc, char** argv, CliOptions& options) {
       options.run = true;
     } else if (arg.rfind("--simulate=", 0) == 0) {
       options.simulate = arg.substr(11);
-    } else if (arg.rfind("--remote=", 0) == 0) {
-      options.remote = arg.substr(9);
-      if (options.remote.rfind("unix:", 0) != 0 &&
-          !tools::parse_host_port(options.remote, "--remote", "hlic",
-                                  options.remote_host, options.remote_port)) {
-        return false;
-      }
     } else if (arg == "--verify") {
       options.verify_files = true;
     } else if (arg == "--list-workloads") {
@@ -278,47 +261,6 @@ int emit(const CliOptions& options, const driver::CompiledProgram& compiled) {
   return 0;
 }
 
-/// --remote: ship the batch to a running hlid and print its replies.
-/// The server's RTL dump bytes are identical to the in-process path, so
-/// every downstream consumer of `hlic --dump-rtl` works unchanged.
-int run_remote(const CliOptions& options,
-               const std::vector<std::string>& sources) {
-  if (options.run || options.dump_hli || options.pretty ||
-      !options.simulate.empty()) {
-    std::fprintf(stderr,
-                 "hlic: --remote supports --dump-rtl and --stats only "
-                 "(--run/--simulate/--dump-hli/--pretty are in-process)\n");
-    return 2;
-  }
-  service::Client client =
-      options.remote.rfind("unix:", 0) == 0
-          ? service::Client::connect_unix(options.remote.substr(5))
-          : service::Client::connect_tcp(options.remote_host,
-                                         options.remote_port);
-  const service::CompileReply reply =
-      client.compile(sources, options.pipeline);
-  int status = 0;
-  for (std::size_t i = 0; i < reply.programs.size(); ++i) {
-    const service::UnitResult& result = reply.programs[i];
-    if (reply.programs.size() > 1) {
-      std::printf("== %s ==\n", options.inputs[i].c_str());
-    }
-    if (!result.verify_log.empty()) {
-      std::fprintf(stderr, "%s", result.verify_log.c_str());
-      status = 1;
-    }
-    if (!result.audit_log.empty()) {
-      std::fprintf(stderr, "%s", result.audit_log.c_str());
-      status = 1;
-    }
-    if (options.dump_rtl) std::fputs(result.rtl.c_str(), stdout);
-    if (options.common.stats != tools::StatsFormat::Off) {
-      std::fputs(result.stats.c_str(), stdout);
-    }
-  }
-  return status;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -345,15 +287,6 @@ int main(int argc, char** argv) {
   telemetry::Tracer tracer;
   options.pipeline =
       tools::apply(options.common, options.pipeline, &tracer);
-
-  if (!options.remote.empty()) {
-    try {
-      return run_remote(options, sources);
-    } catch (const service::ServiceError& e) {
-      std::fprintf(stderr, "hlic: remote: %s\n", e.what());
-      return 1;
-    }
-  }
 
   std::vector<driver::CompiledProgram> compiled;
   try {

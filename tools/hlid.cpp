@@ -3,8 +3,7 @@
 //
 // Server mode (default):
 //   hlid [--port=N] [--unix=PATH] [--workers=N] [--compile-jobs=N]
-//        [--cache-size=N] [--cache-shards=N] [--response-cache-size=N]
-//        [--port-file=PATH]
+//        [--cache-size=N] [--response-cache-size=N] [--port-file=PATH]
 //
 //   Binds 127.0.0.1:<port> (0 = ephemeral; the bound port goes to stderr
 //   and, with --port-file, to a file scripts can read) plus an optional
@@ -34,7 +33,6 @@
 //   stalled request on a loaded host does not set the ratio.
 #include <algorithm>
 #include <chrono>
-#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -84,8 +82,8 @@ int usage() {
   std::fprintf(
       stderr,
       "usage: hlid [--port=N] [--unix=PATH] [--workers=N] [--compile-jobs=N]\n"
-      "            [--cache-size=N] [--cache-shards=N]\n"
-      "            [--response-cache-size=N] [--port-file=PATH]\n"
+      "            [--cache-size=N] [--response-cache-size=N]\n"
+      "            [--port-file=PATH]\n"
       "       hlid --client (--connect=HOST:PORT | --unix=PATH)\n"
       "            [--dump-rtl] [--stats] [--store=PATH] [--no-hli]\n"
       "            [--unroll[=N]] [shared flags]\n"
@@ -131,13 +129,11 @@ bool parse_args(int argc, char** argv, CliOptions& options) {
       options.server.unix_path = value_of(7);
       options.connect_unix = options.server.unix_path;
     } else if (arg.rfind("--workers=", 0) == 0) {
-      ok = number(10, UINT_MAX, options.server.workers);
+      ok = number(10, driver::kMaxThreads, options.server.workers);
     } else if (arg.rfind("--compile-jobs=", 0) == 0) {
-      ok = number(15, UINT_MAX, options.server.compile_jobs);
+      ok = number(15, driver::kMaxThreads, options.server.compile_jobs);
     } else if (arg.rfind("--cache-size=", 0) == 0) {
       ok = number(13, SIZE_MAX, options.server.cache_entries);
-    } else if (arg.rfind("--cache-shards=", 0) == 0) {
-      ok = number(15, SIZE_MAX, options.server.cache_shards);
     } else if (arg.rfind("--response-cache-size=", 0) == 0) {
       ok = number(22, SIZE_MAX, options.server.response_entries);
     } else if (arg.rfind("--port-file=", 0) == 0) {

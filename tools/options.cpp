@@ -21,16 +21,18 @@ void append_uint(std::string& out, std::uint64_t value) {
   out += buf;
 }
 
-/// `--flag[=]N` parsed through parse_number into `out`.
-ParseStatus number_flag(int argc, char** argv, int& i, const char* flag,
-                        const char* tool, std::uint64_t min, unsigned& out) {
+/// A thread-count `--flag[=]N`, from `min` to driver::kMaxThreads,
+/// parsed through parse_number into `out`.
+ParseStatus thread_count_flag(int argc, char** argv, int& i, const char* flag,
+                              const char* tool, std::uint64_t min,
+                              unsigned& out) {
   std::string value;
   if (!flag_value(argc, argv, i, flag, value)) {
     std::fprintf(stderr, "%s: %s requires a value\n", tool, flag);
     return ParseStatus::Error;
   }
   const std::optional<std::uint64_t> n =
-      parse_number(value, flag, tool, min, UINT_MAX);
+      parse_number(value, flag, tool, min, driver::kMaxThreads);
   if (!n) return ParseStatus::Error;
   out = static_cast<unsigned>(*n);
   return ParseStatus::Handled;
@@ -165,8 +167,8 @@ ParseStatus parse_common_flag(int argc, char** argv, int& i, const char* tool,
     return ParseStatus::Handled;
   }
   if (arg == "--exec-threads" || arg.rfind("--exec-threads=", 0) == 0) {
-    return number_flag(argc, argv, i, "--exec-threads", tool, 1,
-                       out.exec_threads.emplace());
+    return thread_count_flag(argc, argv, i, "--exec-threads", tool, 1,
+                             out.exec_threads.emplace());
   }
   if (arg == "--frontend" || arg.rfind("--frontend=", 0) == 0) {
     std::string value;
@@ -188,7 +190,7 @@ ParseStatus parse_common_flag(int argc, char** argv, int& i, const char* tool,
     return ParseStatus::Handled;
   }
   if (arg == "--jobs" || arg.rfind("--jobs=", 0) == 0) {
-    return number_flag(argc, argv, i, "--jobs", tool, 0, out.jobs);
+    return thread_count_flag(argc, argv, i, "--jobs", tool, 0, out.jobs);
   }
   return ParseStatus::NotMine;
 }

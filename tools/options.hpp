@@ -108,7 +108,7 @@ enum class ParseStatus : std::uint8_t {
                                                         std::uint64_t min,
                                                         std::uint64_t max);
 
-/// HOST:PORT for `flag` (hlic --remote, hlid --connect), the port checked
+/// HOST:PORT for `flag` (hlid --connect), the port checked
 /// by parse_number from 1 to 65535.  False, with the message on stderr,
 /// on anything else.
 [[nodiscard]] bool parse_host_port(std::string_view value, const char* flag,
