@@ -1,13 +1,16 @@
 // Query-engine microbenchmark: pairwise may_conflict over the largest
 // workload unit, reported as ns/query, for the dense indexed HliUnitView
 // against the original map-based implementation (kept verbatim as the
-// reference oracle in hli/reference_query.hpp), plus the batched
-// BlockConflictMatrix against the scalar per-pair path on DDG-shaped
-// blocks (every i<j pair of a block's memory references, including the
-// per-block matrix build in the batched time).  This is the scheduler's
-// hot path — sched1/sched2 issue one may_conflict per memory-insn pair —
-// so the speedups here bound the compile-time win of the dense rewrite
-// and of the per-block batching layer on top of it.
+// reference oracle in hli/reference_query.hpp), plus two comparisons on
+// DDG-shaped blocks (every i<j pair of a block's memory references):
+//   * the batched BlockConflictMatrix's row scan against the scalar
+//     per-pair view (per-block matrix build included in the batched time);
+//   * the scheduler's memory phase as it runs: one GccConflictRows row and
+//     one HliPairs::conflict_row per reference, against the per-pair
+//     gcc_may_conflict + HliPairs::mem_pair loop it replaced (both with
+//     batching on, matrix build and row set-up included).
+// Every timing is repeated kTrials times and reported through
+// benchutil::spread() as its median, minimum and maximum.
 // `--json <path>` writes the machine-readable report.
 #include <algorithm>
 #include <bit>
@@ -15,6 +18,8 @@
 #include <string>
 #include <vector>
 
+#include "backend/gcc_alias.hpp"
+#include "backend/hli_pairs.hpp"
 #include "bench_json.hpp"
 #include "frontend/sema.hpp"
 #include "hli/batch_query.hpp"
@@ -143,6 +148,126 @@ double measure_batched_block(const query::HliUnitView& view,
   return timer.elapsed_ms() * 1e6 / static_cast<double>(pairs);
 }
 
+/// The block as the scheduler sees it: one memory instruction per
+/// reference, every third a store, two of three addressed through a
+/// pointer (a subscript in a register) and the rest symbol + constant.
+std::vector<backend::Insn> make_insns(const std::vector<format::ItemId>& block) {
+  std::vector<backend::Insn> insns(block.size());
+  for (std::size_t k = 0; k < block.size(); ++k) {
+    backend::Insn& insn = insns[k];
+    insn.op = k % 3 == 0 ? backend::Opcode::Store : backend::Opcode::Load;
+    insn.mem.hli_item = block[k];
+    if (k % 3 == 2) {
+      insn.mem.base = backend::MemBase::Symbol;
+      insn.mem.symbol = static_cast<std::int32_t>(block[k] % 5);
+      insn.mem.offset_known = true;
+      insn.mem.const_offset = static_cast<std::int64_t>(4 * (k % 7));
+    }
+  }
+  return insns;
+}
+
+/// The scheduler's memory phase before rows: per i<j pair, the native
+/// answer and the HLI answer through HliPairs::mem_pair.
+double measure_pair_phase(const query::HliUnitView& view,
+                          const std::vector<backend::Insn>& insns,
+                          double min_ms) {
+  backend::HliPairs pairs(&view, true);
+  std::uint64_t count = 0;
+  unsigned sink = 0;
+  const benchutil::WallTimer timer;
+  do {
+    pairs.prepare(insns, 0, insns.size());
+    for (std::size_t j = 1; j < insns.size(); ++j) {
+      for (std::size_t i = 0; i < j; ++i) {
+        const bool gcc = backend::gcc_may_conflict(insns[i].mem, insns[j].mem);
+        const bool hli =
+            pairs.mem_pair(insns[i].mem.hli_item, insns[j].mem.hli_item)
+                .conflict();
+        sink += static_cast<unsigned>(gcc && hli);
+      }
+    }
+    count += insns.size() * (insns.size() - 1) / 2;
+  } while (timer.elapsed_ms() < min_ms);
+  g_sink = g_sink + sink;
+  return timer.elapsed_ms() * 1e6 / static_cast<double>(count);
+}
+
+/// The scheduler's memory phase in rows: per reference j, its native row
+/// from GccConflictRows and its HLI row from HliPairs::conflict_row over
+/// every earlier reference.
+double measure_row_phase(const query::HliUnitView& view,
+                         const std::vector<backend::Insn>& insns,
+                         double min_ms) {
+  backend::HliPairs pairs(&view, true);
+  backend::GccConflictRows rows;
+  const std::size_t n = insns.size();
+  std::vector<format::ItemId> items(n);
+  std::vector<std::uint32_t> slots(n);
+  std::vector<std::uint64_t> ask(n / 64 + 1);
+  std::vector<std::uint64_t> gcc(n / 64 + 1);
+  std::vector<std::uint64_t> hli(n / 64 + 1);
+  std::uint64_t count = 0;
+  unsigned sink = 0;
+  const benchutil::WallTimer timer;
+  do {
+    pairs.prepare(insns, 0, n);
+    rows.reset(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      rows.add(k, insns[k].mem);
+      items[k] = insns[k].mem.hli_item;
+      slots[k] = pairs.mem_slot(items[k]);
+    }
+    std::fill(ask.begin(), ask.end(), 0);
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::size_t words = j / 64 + 1;
+      rows.row(j, j, gcc.data());
+      pairs.conflict_row({items.data(), slots.data()}, items[j], slots[j],
+                         ask.data(), words, hli.data());
+      for (std::size_t w = 0; w < words; ++w) {
+        sink += static_cast<unsigned>(std::popcount(gcc[w] & hli[w]));
+      }
+      ask[j >> 6] |= std::uint64_t{1} << (j & 63);
+    }
+    count += n * (n - 1) / 2;
+  } while (timer.elapsed_ms() < min_ms);
+  g_sink = g_sink + sink;
+  return timer.elapsed_ms() * 1e6 / static_cast<double>(count);
+}
+
+constexpr unsigned kTrials = 5;
+constexpr double kMinMs = 40.0;  // Measuring window of one trial.
+
+/// kTrials runs of `measure`, each over a kMinMs window.
+template <typename Measure>
+std::vector<double> trials(Measure&& measure) {
+  std::vector<double> out;
+  for (unsigned t = 0; t < kTrials; ++t) out.push_back(measure(kMinMs));
+  return out;
+}
+
+/// Median of the per-trial ratios slow / fast.
+double speedup(const std::vector<double>& slow,
+               const std::vector<double>& fast) {
+  std::vector<double> ratios;
+  for (std::size_t t = 0; t < slow.size(); ++t) {
+    if (fast[t] > 0.0) ratios.push_back(slow[t] / fast[t]);
+  }
+  return benchutil::median(ratios);
+}
+
+/// `metrics` plus the spread of each named series.
+std::vector<benchutil::Metric> with_spreads(
+    std::vector<benchutil::Metric> metrics,
+    const std::vector<std::pair<std::string, std::vector<double>>>& series) {
+  for (const auto& [key, samples] : series) {
+    for (benchutil::Metric& m : benchutil::spread(key, samples)) {
+      metrics.push_back(std::move(m));
+    }
+  }
+  return metrics;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -182,42 +307,62 @@ int main(int argc, char** argv) {
   const query::HliUnitView dense(*best_entry);
   const query::reference::ReferenceUnitView reference(*best_entry);
 
-  constexpr double kMinMs = 200.0;  // Per-implementation measuring window.
-  const double dense_ns = measure_ns_per_query(dense, items, kMinMs);
-  const double ref_ns = measure_ns_per_query(reference, items, kMinMs);
-  const double speedup = dense_ns > 0.0 ? ref_ns / dense_ns : 0.0;
+  const std::vector<double> dense_ns = trials(
+      [&](double ms) { return measure_ns_per_query(dense, items, ms); });
+  const std::vector<double> ref_ns = trials(
+      [&](double ms) { return measure_ns_per_query(reference, items, ms); });
+  const double dense_speedup = speedup(ref_ns, dense_ns);
 
-  std::printf("may_conflict microbenchmark on %s (%zu items, %zu pairs)\n",
-              best_label.c_str(), items.size(), items.size() * items.size());
+  std::printf("may_conflict microbenchmark on %s (%zu items, %zu pairs), "
+              "median of %u\n",
+              best_label.c_str(), items.size(), items.size() * items.size(),
+              kTrials);
   std::printf("%-28s %12s\n", "implementation", "ns/query");
-  std::printf("%-28s %12.1f\n", "map-based (reference)", ref_ns);
-  std::printf("%-28s %12.1f\n", "dense indexed", dense_ns);
-  std::printf("speedup: %.2fx\n", speedup);
+  std::printf("%-28s %12.1f\n", "map-based (reference)",
+              benchutil::median(ref_ns));
+  std::printf("%-28s %12.1f\n", "dense indexed", benchutil::median(dense_ns));
+  std::printf("speedup: %.2fx\n", dense_speedup);
 
   benchutil::JsonReport report;
   report.bench = "query_micro";
-  report.add(best_label, {{"items", static_cast<double>(items.size())},
-                          {"reference_ns_per_query", ref_ns},
-                          {"dense_ns_per_query", dense_ns},
-                          {"speedup", speedup}});
+  report.trials = kTrials;
+  report.add(best_label,
+             with_spreads({{"items", static_cast<double>(items.size())},
+                           {"speedup", dense_speedup}},
+                          {{"reference_ns_per_query", ref_ns},
+                           {"dense_ns_per_query", dense_ns}}));
 
-  // Batched vs scalar on DDG-shaped blocks (per-block matrix build
-  // included in the batched time).
-  std::printf("\nblock DDG sweep: batched BlockConflictMatrix vs scalar\n");
-  std::printf("%-12s %14s %14s %10s\n", "block", "scalar ns/pair",
-              "batched ns/pair", "speedup");
+  // On DDG-shaped blocks: the matrix's row scan against the scalar view,
+  // and the scheduler's row phase against its per-pair phase.
+  std::printf("\nblock DDG sweep, ns per i<j pair (median of %u)\n",
+              kTrials);
+  std::printf("%-8s %10s %10s %8s %10s %10s %8s\n", "block", "scalar",
+              "matrix", "speedup", "sched pair", "sched row", "speedup");
   for (const std::size_t size : {8u, 32u, 128u, 512u}) {
     const std::vector<format::ItemId> block = make_block(items, size);
-    const double scalar_ns = measure_scalar_block(dense, block, kMinMs);
-    const double batched_ns = measure_batched_block(dense, block, kMinMs);
-    const double block_speedup = batched_ns > 0.0 ? scalar_ns / batched_ns : 0.0;
-    std::printf("%-12zu %14.2f %14.2f %9.2fx\n", size, scalar_ns, batched_ns,
-                block_speedup);
+    const std::vector<backend::Insn> insns = make_insns(block);
+    const std::vector<double> scalar_ns = trials(
+        [&](double ms) { return measure_scalar_block(dense, block, ms); });
+    const std::vector<double> batched_ns = trials(
+        [&](double ms) { return measure_batched_block(dense, block, ms); });
+    const std::vector<double> pair_ns = trials(
+        [&](double ms) { return measure_pair_phase(dense, insns, ms); });
+    const std::vector<double> row_ns = trials(
+        [&](double ms) { return measure_row_phase(dense, insns, ms); });
+    const double block_speedup = speedup(scalar_ns, batched_ns);
+    const double row_speedup = speedup(pair_ns, row_ns);
+    std::printf("%-8zu %10.2f %10.2f %7.2fx %10.2f %10.2f %7.2fx\n", size,
+                benchutil::median(scalar_ns), benchutil::median(batched_ns),
+                block_speedup, benchutil::median(pair_ns),
+                benchutil::median(row_ns), row_speedup);
     report.add("block/" + std::to_string(size),
-               {{"block_size", static_cast<double>(size)},
-                {"scalar_ns_per_pair", scalar_ns},
-                {"batched_ns_per_pair", batched_ns},
-                {"speedup", block_speedup}});
+               with_spreads({{"block_size", static_cast<double>(size)},
+                             {"speedup", block_speedup},
+                             {"sched_row_speedup", row_speedup}},
+                            {{"scalar_ns_per_pair", scalar_ns},
+                             {"batched_ns_per_pair", batched_ns},
+                             {"sched_pair_ns_per_pair", pair_ns},
+                             {"sched_row_ns_per_pair", row_ns}}));
   }
   report.wall_ms = timer.elapsed_ms();
   if (!args.json_path.empty() && !report.write(args.json_path)) return 1;

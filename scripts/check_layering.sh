@@ -133,3 +133,24 @@ if [[ -n "$carried_calls" ]]; then
   exit 1
 fi
 echo "layering: ok (one loop-independence verdict, in src/analysis/irdep/)"
+
+# The scheduler's memory phase answers a whole bit row per instruction:
+# the native rule through GccConflictRows (src/backend/gcc_alias.hpp) and
+# the HLI through HliPairs::conflict_row.  A call of gcc_may_conflict( or
+# of .mem_pair( in src/backend/sched.cpp is a per-pair path growing back
+# beside the rows, and fails here with its file:line.  Comment lines do
+# not count.
+pair_calls=$(
+  grep -nHE '\bgcc_may_conflict[[:space:]]*\(|\.mem_pair[[:space:]]*\(' \
+      src/backend/sched.cpp \
+    | grep -vE '^[^:]+:[0-9]+:[[:space:]]*(//|/?\*)' \
+    || true
+)
+
+if [[ -n "$pair_calls" ]]; then
+  echo "layering: per-pair memory queries in the scheduler" >&2
+  echo "(build the rows with GccConflictRows and HliPairs::conflict_row)" >&2
+  echo "$pair_calls" >&2
+  exit 1
+fi
+echo "layering: ok (the scheduler asks memory dependences a row at a time)"

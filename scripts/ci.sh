@@ -240,8 +240,13 @@ EOF
 stage_query_perf() {
   cmake -B build "${GENERATOR[@]}" -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build -j "$JOBS" --target bench_query_micro hli_tests
-  # Perf gate: the batched BlockConflictMatrix path must be no slower
-  # than the scalar per-pair path on every DDG-shaped block size.
+  # Perf gate, on the medians of bench_query_micro's trials for every
+  # DDG-shaped block size: the batched BlockConflictMatrix row scan must
+  # be no slower than the scalar per-pair path, and the scheduler's
+  # memory phase as it runs (GccConflictRows + HliPairs::conflict_row, a
+  # row per reference) no slower than the per-pair gcc_may_conflict +
+  # HliPairs::mem_pair loop it replaced.  The second comparison is the
+  # shape backend/sched.cpp executes.
   ./build/bench/bench_query_micro --json build/BENCH_query.json
   if command -v python3 >/dev/null; then
     python3 - <<'EOF'
@@ -250,11 +255,18 @@ report = json.load(open('build/BENCH_query.json'))
 blocks = [w for w in report['per_workload'] if w['name'].startswith('block/')]
 assert blocks, 'bench_query_micro reported no block sweep'
 for w in blocks:
-    assert w['batched_ns_per_pair'] <= w['scalar_ns_per_pair'], \
+    assert w['batched_ns_per_pair_median'] <= w['scalar_ns_per_pair_median'], \
         '%s: batched %.2f ns/pair slower than scalar %.2f ns/pair' \
-        % (w['name'], w['batched_ns_per_pair'], w['scalar_ns_per_pair'])
+        % (w['name'], w['batched_ns_per_pair_median'],
+           w['scalar_ns_per_pair_median'])
+    assert (w['sched_row_ns_per_pair_median'] <=
+            w['sched_pair_ns_per_pair_median']), \
+        '%s: scheduler rows %.2f ns/pair slower than pairs %.2f ns/pair' \
+        % (w['name'], w['sched_row_ns_per_pair_median'],
+           w['sched_pair_ns_per_pair_median'])
 print('query perf gate: ' + ', '.join(
-    '%s %.1fx' % (w['name'], w['speedup']) for w in blocks))
+    '%s %.1fx (scheduler rows %.1fx)'
+    % (w['name'], w['speedup'], w['sched_row_speedup']) for w in blocks))
 EOF
   fi
   # Identity gate: batching on vs off must emit byte-identical RTL for

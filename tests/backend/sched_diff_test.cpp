@@ -10,6 +10,9 @@
 #include <string>
 #include <vector>
 
+#include "analysis/irdep/analyzer.hpp"
+#include "analysis/irdep/refmod.hpp"
+#include "backend/gcc_alias.hpp"
 #include "backend/regalloc.hpp"
 #include "backend/sched.hpp"
 #include "driver/pipeline.hpp"
@@ -83,27 +86,41 @@ TEST_P(SchedSuiteTest, EveryBlockMatchesTheReferenceAtBothPasses) {
     driver::PipelineOptions unscheduled = options;
     unscheduled.enable_sched = false;
     unscheduled.enable_regalloc = false;
-    driver::CompiledProgram compiled =
+    const driver::CompiledProgram compiled =
         driver::compile_source(workload.source, unscheduled);
-    for (RtlFunction& func : compiled.rtl.functions) {
-      const format::HliEntry* entry = compiled.hli.find_unit(func.name);
-      if (entry == nullptr) continue;  // The pipeline schedules it not.
-      const query::HliUnitView view(*entry);
-      query::ConflictCache cache;
-      SchedOptions sched;
-      sched.use_hli = options.use_hli;
-      sched.view = &view;
-      sched.cache = &cache;
-      sched.batch_queries = options.batch_queries;
-      const machine::MachineDesc& mach = options.sched_machine;
-      sched.latency = [&mach](const Insn& insn) { return mach.latency(insn); };
+    const irdep::ProgramDepInfo program(compiled.rtl);
+    // Scalar and batched HLI answers, each with and without the irdep
+    // fallback oracle (PipelineOptions::irdep_fallback).
+    for (const bool batch : {true, false}) {
+      for (const bool fallback : {false, true}) {
+        const std::string mode = std::string(batch ? " batched" : " scalar") +
+                                 (fallback ? " irdep" : "");
+        for (RtlFunction func : compiled.rtl.functions) {
+          const format::HliEntry* entry = compiled.hli.find_unit(func.name);
+          if (entry == nullptr) continue;  // The pipeline schedules it not.
+          const query::HliUnitView view(*entry);
+          query::ConflictCache cache;
+          irdep::IrdepOracle oracle(program, func);
+          SchedOptions sched;
+          sched.use_hli = options.use_hli;
+          sched.view = &view;
+          sched.cache = &cache;
+          sched.batch_queries = batch;
+          sched.fallback = fallback ? &oracle : nullptr;
+          const machine::MachineDesc& mach = options.sched_machine;
+          sched.latency = [&mach](const Insn& insn) {
+            return mach.latency(insn);
+          };
 
-      const std::string where = workload.name + " " + func.name;
-      expect_same_schedule(func, sched, where + " sched1");
-      (void)schedule_function(func, sched);
-      if (!options.enable_regalloc) continue;
-      (void)allocate_registers(func, options.regalloc);
-      expect_same_schedule(func, sched, where + " sched2");
+          const std::string where = workload.name + " " + func.name + mode;
+          expect_same_schedule(func, sched, where + " sched1");
+          (void)schedule_function(func, sched);
+          if (!options.enable_regalloc) continue;
+          (void)allocate_registers(func, options.regalloc);
+          oracle.refresh(func);  // Allocation rewrote the stream.
+          expect_same_schedule(func, sched, where + " sched2");
+        }
+      }
     }
   }
 }
@@ -188,13 +205,15 @@ ItemPools pools_of(const RtlFunction& func) {
 /// One random function of 1-3 blocks over `regs` registers (2-6).  Few
 /// registers make reuse dense: an instruction often reads the register
 /// it writes, and `rs1 == rs2` comes up by itself and is also forced.
-RtlFunction random_function(Rng& rng, const ItemPools& pools) {
+/// With `big` nonzero the function is one block of `big` instructions.
+RtlFunction random_function(Rng& rng, const ItemPools& pools,
+                            std::size_t big = 0) {
   RtlFunction func;
   func.name = "main";
   const auto regs = static_cast<Reg>(rng.uniform(2, 6));
   func.num_regs = regs;
   const auto reg = [&] { return static_cast<Reg>(rng.below(regs)); };
-  const std::size_t blocks = rng.uniform(1, 3);
+  const std::size_t blocks = big != 0 ? 1 : rng.uniform(1, 3);
   for (std::size_t b = 0; b < blocks; ++b) {
     if (b != 0) {
       Insn label;
@@ -203,8 +222,9 @@ RtlFunction random_function(Rng& rng, const ItemPools& pools) {
       func.insns.push_back(label);
     }
     // Up to 150 instructions, so the bit rows span several words.
-    const std::size_t size = rng.chance(1, 4) ? rng.uniform(65, 150)
-                                              : rng.uniform(2, 40);
+    const std::size_t size = big != 0          ? big
+                             : rng.chance(1, 4) ? rng.uniform(65, 150)
+                                                : rng.uniform(2, 40);
     for (std::size_t k = 0; k < size; ++k) {
       Insn insn;
       switch (rng.below(8)) {
@@ -315,6 +335,131 @@ TEST(SchedRandomTest, RandomBlocksMatchTheReference) {
     expect_same_schedule(func, view_unused,
                          "seed " + std::to_string(seed) + " hli off");
     if (::testing::Test::HasFailure()) break;
+  }
+}
+
+/// A stand-in for the irdep fallback oracle on random blocks, which no
+/// program analysis describes: a fixed pseudo-random answer per index
+/// pair, so both schedulers get the same answers in any order.
+class SeededOracle final : public DepOracle {
+ public:
+  bool may_conflict(std::size_t a, std::size_t b) override {
+    return mix(a, b) % 4 != 0;
+  }
+  unsigned call_effect(std::size_t call, std::size_t mem) override {
+    return static_cast<unsigned>(mix(call, mem) & 3u);
+  }
+  bool may_carry(std::size_t, std::size_t, std::size_t) override {
+    return true;
+  }
+  void refresh(const RtlFunction&) override {}
+
+ private:
+  static std::uint64_t mix(std::size_t a, std::size_t b) {
+    Rng rng((std::uint64_t{a} << 32) ^ b);
+    return rng.next();
+  }
+};
+
+// Blocks of 1,000+ instructions, none a multiple of 64 long, so every
+// bit row spans many words and ends in a partial one: scalar and batched
+// HLI answers, each with and without a fallback oracle.
+TEST(SchedRandomTest, LongBlocksMatchTheReference) {
+  driver::PipelineOptions options = driver::PipelineOptions::paper_table2();
+  options.enable_sched = false;
+  const driver::CompiledProgram compiled =
+      driver::compile_source(kItemSource, options);
+  const RtlFunction* main_func = compiled.rtl.find_function("main");
+  const format::HliEntry* entry = compiled.hli.find_unit("main");
+  ASSERT_NE(main_func, nullptr);
+  ASSERT_NE(entry, nullptr);
+  const ItemPools pools = pools_of(*main_func);
+  const query::HliUnitView view(*entry);
+  const machine::MachineDesc mach = machine::r10000();
+  SeededOracle oracle;
+
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    std::size_t size = rng.uniform(1000, 1600);
+    if (size % 64 == 0) ++size;
+    const RtlFunction func = random_function(rng, pools, size);
+    for (const bool batch : {true, false}) {
+      for (const bool fallback : {false, true}) {
+        query::ConflictCache cache;
+        SchedOptions sched;
+        sched.use_hli = (seed & 1) != 0;
+        sched.view = &view;
+        sched.cache = &cache;
+        sched.batch_queries = batch;
+        sched.fallback = fallback ? &oracle : nullptr;
+        sched.latency = [&mach](const Insn& insn) {
+          return mach.latency(insn);
+        };
+        expect_same_schedule(func, sched,
+                             "seed " + std::to_string(seed) + " size " +
+                                 std::to_string(size) +
+                                 (batch ? " batched" : " scalar") +
+                                 (fallback ? " fallback" : ""));
+      }
+    }
+    if (::testing::Test::HasFailure()) break;
+  }
+}
+
+// -- The native rule in row form ----------------------------------------------
+
+/// A random memory reference: pointer bases, unknown offsets, symbols
+/// against frame slots, and sizes 1/2/4/8 at misaligned offsets that
+/// overlap partly.
+MemRef random_ref(Rng& rng) {
+  MemRef ref;
+  switch (rng.below(5)) {
+    case 0:
+      ref.base = MemBase::Pointer;
+      break;
+    case 1:
+    case 2:
+      ref.base = MemBase::Symbol;
+      ref.symbol = static_cast<std::int32_t>(rng.below(4)) - 1;
+      break;
+    default:
+      ref.base = MemBase::Frame;
+      ref.frame_offset = 8 * static_cast<std::int64_t>(rng.below(4)) - 8;
+      ref.symbol = static_cast<std::int32_t>(rng.below(2));
+      break;
+  }
+  ref.offset_known = !rng.chance(1, 6);
+  ref.const_offset = static_cast<std::int64_t>(rng.below(40)) - 8;
+  static constexpr std::uint8_t kSizes[] = {1, 2, 4, 8};
+  ref.size = kSizes[rng.below(4)];
+  return ref;
+}
+
+TEST(GccRowsTest, RowsMatchThePairRule) {
+  GccConflictRows rows;
+  std::vector<MemRef> refs;
+  std::vector<std::uint64_t> out;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    const std::size_t n = rng.uniform(200, 420);
+    refs.clear();
+    rows.reset(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      refs.push_back(random_ref(rng));
+      rows.add(k, refs.back());
+    }
+    for (std::size_t pos = 0; pos < n; ++pos) {
+      for (const std::size_t limit : {pos, n}) {
+        out.assign(limit / 64 + 1, 0);
+        rows.row(pos, limit, out.data());
+        for (std::size_t i = 0; i < limit; ++i) {
+          const bool bit = ((out[i >> 6] >> (i & 63)) & 1u) != 0;
+          ASSERT_EQ(bit, gcc_may_conflict(refs[i], refs[pos]))
+              << "seed " << seed << ": position " << i << " against " << pos
+              << " (limit " << limit << ")";
+        }
+      }
+    }
   }
 }
 

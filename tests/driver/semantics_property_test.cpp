@@ -5,6 +5,8 @@
 // lowering, every optimization, interpreter — to C semantics.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "driver/pipeline.hpp"
 
 namespace hli::driver {
@@ -15,6 +17,12 @@ struct IntCase {
   std::int64_t lhs;
   std::int64_t rhs;
 };
+
+// ctest names each case by its printed value; print the operator and the
+// operands, not the struct's bytes (a pointer that moves with every link).
+void PrintTo(const IntCase& c, std::ostream* os) {
+  *os << c.lhs << ' ' << c.op << ' ' << c.rhs;
+}
 
 class IntBinopSweep : public ::testing::TestWithParam<IntCase> {};
 

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <ostream>
 #include <sstream>
 #include <string>
 
@@ -44,6 +45,12 @@ struct BadFlag {
   const char* args;
   const char* message;  ///< Must appear in the diagnostic.
 };
+
+// ctest names each case by its printed value; print the strings, not the
+// struct's bytes (pointers that move with every link).
+void PrintTo(const BadFlag& flag, std::ostream* os) {
+  *os << flag.args << " -> " << flag.message;
+}
 
 class HlidBadNumberTest : public ::testing::TestWithParam<BadFlag> {};
 
