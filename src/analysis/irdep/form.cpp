@@ -492,15 +492,4 @@ const LoopShape* FunctionModel::loop_at(std::size_t beg_pos) const {
   return nullptr;
 }
 
-const LoopShape* FunctionModel::enclosing_loop(std::size_t pos) const {
-  const LoopShape* best = nullptr;
-  for (const LoopShape& loop : loops_) {
-    if (loop.beg < pos && pos < loop.end &&
-        (best == nullptr || loop.beg > best->beg)) {
-      best = &loop;
-    }
-  }
-  return best;
-}
-
 }  // namespace hli::irdep

@@ -163,8 +163,6 @@ class FunctionModel {
   [[nodiscard]] const std::vector<LoopShape>& loops() const { return loops_; }
   /// Loop whose LoopBeg note sits at `beg_pos`; nullptr when none.
   [[nodiscard]] const LoopShape* loop_at(std::size_t beg_pos) const;
-  /// Innermost loop whose (beg, end) span contains `pos`; nullptr if none.
-  [[nodiscard]] const LoopShape* enclosing_loop(std::size_t pos) const;
 
  private:
   void build_blocks();

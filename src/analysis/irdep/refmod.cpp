@@ -248,11 +248,4 @@ bool ProgramDepInfo::call_pure(const std::string& callee) const {
   return true;
 }
 
-bool ProgramDepInfo::call_io(const std::string& callee) const {
-  if (is_io_builtin(callee)) return true;
-  if (is_memoryless_builtin(callee)) return false;
-  const FnSummary* s = summary(callee);
-  return s == nullptr || s->io;
-}
-
 }  // namespace hli::irdep

@@ -63,8 +63,6 @@ class ProgramDepInfo {
   /// True when `callee` provably has no memory effect and no IO — safe
   /// to ignore for loop classification.
   [[nodiscard]] bool call_pure(const std::string& callee) const;
-  /// True when `callee` (transitively) performs observable output.
-  [[nodiscard]] bool call_io(const std::string& callee) const;
 
  private:
   const backend::RtlProgram* prog_;

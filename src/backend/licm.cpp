@@ -1,6 +1,7 @@
 #include "backend/licm.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -50,36 +51,48 @@ namespace {
   }
 }
 
-class LoopLicm {
+/// LICM over every innermost loop of one function.  Hoisting only
+/// reorders instructions, so each register's definition count over the
+/// function, counted once up front, holds for the whole pass; and a
+/// rewrite moves instructions only within its own loop's span, which
+/// holds no other loop note, so one walk of the spans serves every loop.
+class FunctionLicm {
  public:
-  LoopLicm(RtlFunction& func, const LoopSpan& loop, const LicmOptions& options,
-           LicmStats& stats, HliPairs& pairs)
-      : func_(func), loop_(loop), options_(options), stats_(stats),
-        pairs_(pairs) {}
+  FunctionLicm(RtlFunction& func, const LicmOptions& options, LicmStats& stats)
+      : func_(func), options_(options), stats_(stats),
+        pairs_(options.use_hli ? options.view : nullptr,
+               options.batch_queries),
+        defs_(static_cast<std::size_t>(func.num_regs), 0),
+        in_loop_(static_cast<std::size_t>(func.num_regs), 0) {
+    for (const Insn& insn : func.insns) {
+      const Reg rd = def_of(insn);
+      if (rd != kNoReg) ++defs_[static_cast<std::size_t>(rd)];
+    }
+  }
 
-  void run() {
+  void run(const LoopSpan& loop) {
+    beg_ = loop.beg;
+    end_ = loop.end;
     // The loop-carried answers come from this loop's LCDD table.
-    pairs_.prepare(func_.insns, loop_.beg + 1, loop_.end, loop_region());
-    collect_defs();
+    pairs_.prepare(func_.insns, beg_ + 1, end_, loop_region());
+    collect();
     // Iterate: hoisting one insn can make another invariant.
     bool changed = true;
     while (changed) {
       changed = false;
-      for (std::size_t i = loop_.beg + 1; i < loop_.end; ++i) {
-        if (hoisted_.contains(i)) continue;
+      for (std::size_t i = beg_ + 1; i < end_; ++i) {
+        if (hoisted(i)) continue;
         const Insn& insn = func_.insns[i];
         if (hoistable_pure(insn.op)) {
           if (invariant_inputs(insn) && single_def(insn.rd)) {
-            hoisted_.insert(i);
-            defs_in_loop_.erase(insn.rd);
+            hoist(i);
             ++stats_.pure_hoisted;
             changed = true;
           }
         } else if (insn.op == Opcode::Load) {
           if (invariant_inputs(insn) && single_def(insn.rd) &&
               no_conflicting_writes(insn, i)) {
-            hoisted_.insert(i);
-            defs_in_loop_.erase(insn.rd);
+            hoist(i);
             ++stats_.loads_hoisted;
             if (options_.on_load_hoisted &&
                 insn.mem.hli_item != format::kNoItem) {
@@ -95,45 +108,56 @@ class LoopLicm {
 
  private:
   [[nodiscard]] format::RegionId loop_region() const {
-    return func_.insns[loop_.beg].loop_region;
+    return func_.insns[beg_].loop_region;
   }
 
-  void collect_defs() {
-    for (std::size_t i = loop_.beg + 1; i < loop_.end; ++i) {
-      const Reg rd = def_of(func_.insns[i]);
-      if (rd != kNoReg) defs_in_loop_.insert(rd);
+  /// Marks the loop's definitions and lists its stores and calls.
+  void collect() {
+    ++loop_stamp_;
+    hoisted_.assign(end_ - beg_, 0);
+    hoisted_count_ = 0;
+    writes_.clear();
+    for (std::size_t i = beg_ + 1; i < end_; ++i) {
+      const Insn& insn = func_.insns[i];
+      const Reg rd = def_of(insn);
+      if (rd != kNoReg) in_loop_[static_cast<std::size_t>(rd)] = loop_stamp_;
+      if (insn.op == Opcode::Store || insn.op == Opcode::Call) {
+        writes_.push_back(i);
+      }
     }
+  }
+
+  [[nodiscard]] bool hoisted(std::size_t i) const {
+    return hoisted_[i - beg_] != 0;
+  }
+
+  void hoist(std::size_t i) {
+    hoisted_[i - beg_] = 1;
+    ++hoisted_count_;
+    // single_def held: this was the register's one definition in the loop.
+    in_loop_[static_cast<std::size_t>(func_.insns[i].rd)] = 0;
   }
 
   [[nodiscard]] bool invariant_inputs(const Insn& insn) const {
     bool invariant = true;
     for_each_read(insn, [&](Reg r) {
-      if (defs_in_loop_.contains(r)) invariant = false;
+      if (in_loop_[static_cast<std::size_t>(r)] == loop_stamp_) {
+        invariant = false;
+      }
     });
     return invariant;
   }
 
-  /// The register must be defined exactly once in the loop (our lowering's
-  /// expression temps) so moving the single definition is sound.
+  /// The register must be defined exactly once in the function, so the
+  /// definition is this loop's one (our lowering's expression temps) and
+  /// moving it cannot clobber an outer value early.
   [[nodiscard]] bool single_def(Reg rd) const {
-    if (rd == kNoReg) return false;
-    std::size_t defs = 0;
-    for (std::size_t i = loop_.beg + 1; i < loop_.end; ++i) {
-      if (def_of(func_.insns[i]) == rd) ++defs;
-    }
-    // Also reject registers defined anywhere outside the loop: hoisting
-    // would then clobber the outer value early.
-    for (std::size_t i = 0; i < func_.insns.size(); ++i) {
-      if (i > loop_.beg && i < loop_.end) continue;
-      if (def_of(func_.insns[i]) == rd) return false;
-    }
-    return defs == 1;
+    return rd != kNoReg && defs_[static_cast<std::size_t>(rd)] == 1;
   }
 
   [[nodiscard]] bool no_conflicting_writes(const Insn& load,
                                            std::size_t load_pos) {
-    for (std::size_t i = loop_.beg + 1; i < loop_.end; ++i) {
-      if (hoisted_.contains(i)) continue;
+    for (const std::size_t i : writes_) {
       const Insn& insn = func_.insns[i];
       if (insn.op == Opcode::Store) {
         bool conflict = gcc_may_conflict(load.mem, insn.mem);
@@ -152,13 +176,13 @@ class LoopLicm {
           // same-iteration and the loop-carried question must stay open
           // for the store to keep blocking it.
           conflict = options_.fallback->may_conflict(load_pos, i) ||
-                     options_.fallback->may_carry(loop_.beg, load_pos, i);
+                     options_.fallback->may_carry(beg_, load_pos, i);
         }
         if (conflict) {
           if (options_.use_hli) ++stats_.loads_blocked_hli;
           return false;
         }
-      } else if (insn.op == Opcode::Call) {
+      } else {
         bool clobbers = true;
         if (options_.use_hli && options_.view != nullptr &&
             load.mem.hli_item != format::kNoItem &&
@@ -177,67 +201,53 @@ class LoopLicm {
     return true;
   }
 
+  /// Layout of the span: [preheader][LoopBeg][body]; the LoopBeg note
+  /// moves after the hoisted code, and nothing outside the span moves.
   void rewrite() {
-    if (hoisted_.empty()) return;
-    std::vector<Insn> preheader;
-    std::vector<Insn> body;
-    preheader.reserve(hoisted_.size());
-    for (std::size_t i = loop_.beg + 1; i < loop_.end; ++i) {
-      if (hoisted_.contains(i)) {
-        preheader.push_back(func_.insns[i]);
-      } else {
-        body.push_back(func_.insns[i]);
-      }
+    if (hoisted_count_ == 0) return;
+    std::vector<Insn>& insns = func_.insns;
+    scratch_.clear();
+    scratch_.reserve(end_ - beg_);
+    for (std::size_t i = beg_ + 1; i < end_; ++i) {
+      if (hoisted(i)) scratch_.push_back(std::move(insns[i]));
     }
-    // Layout: [preheader][LoopBeg][body][LoopEnd...]; the LoopBeg note
-    // moves after the hoisted code.
-    std::vector<Insn> rebuilt;
-    rebuilt.reserve(func_.insns.size());
-    rebuilt.insert(rebuilt.end(), func_.insns.begin(),
-                   func_.insns.begin() + static_cast<std::ptrdiff_t>(loop_.beg));
-    rebuilt.insert(rebuilt.end(), preheader.begin(), preheader.end());
-    rebuilt.push_back(func_.insns[loop_.beg]);
-    rebuilt.insert(rebuilt.end(), body.begin(), body.end());
-    rebuilt.insert(rebuilt.end(),
-                   func_.insns.begin() + static_cast<std::ptrdiff_t>(loop_.end),
-                   func_.insns.end());
-    func_.insns = std::move(rebuilt);
+    scratch_.push_back(std::move(insns[beg_]));
+    for (std::size_t i = beg_ + 1; i < end_; ++i) {
+      if (!hoisted(i)) scratch_.push_back(std::move(insns[i]));
+    }
+    std::move(scratch_.begin(), scratch_.end(),
+              insns.begin() + static_cast<std::ptrdiff_t>(beg_));
   }
 
   RtlFunction& func_;
-  const LoopSpan& loop_;
   const LicmOptions& options_;
   LicmStats& stats_;
-  HliPairs& pairs_;
-  std::set<Reg> defs_in_loop_;
-  std::set<std::size_t> hoisted_;
+  HliPairs pairs_;  ///< One arena for all loops.
+  std::vector<std::uint32_t> defs_;     ///< Per register: definitions in func.
+  std::vector<std::uint32_t> in_loop_;  ///< loop_stamp_: defined in the loop.
+  std::uint32_t loop_stamp_ = 0;
+  std::size_t beg_ = 0;  ///< The loop's LoopBeg position.
+  std::size_t end_ = 0;  ///< Its LoopEnd position.
+  std::vector<std::uint8_t> hoisted_;  ///< Per position from beg_.
+  std::size_t hoisted_count_ = 0;
+  std::vector<std::size_t> writes_;  ///< The loop's stores and calls, in order.
+  std::vector<Insn> scratch_;
 };
 
 }  // namespace
 
 LicmStats licm_function(RtlFunction& func, const LicmOptions& options) {
   LicmStats stats;
-  HliPairs pairs(options.use_hli ? options.view : nullptr,
-                 options.batch_queries);  // One arena for all loops.
-  // Process loops one at a time; indices shift after each rewrite, so
-  // re-discover until no further hoisting happens.
-  bool changed = true;
+  FunctionLicm licm(func, options, stats);
+  // Innermost loops in LoopBeg order, each loop region once.
   std::set<format::RegionId> processed;
-  while (changed) {
-    changed = false;
-    for (const LoopSpan& loop : loop_spans(func)) {
-      if (!loop.innermost) continue;
-      const format::RegionId region = func.insns[loop.beg].loop_region;
-      if (processed.contains(region)) continue;
-      processed.insert(region);
-      // Each prior rewrite shifted indices; the oracle must answer for the
-      // stream as it is now.
-      if (options.fallback != nullptr) options.fallback->refresh(func);
-      LoopLicm licm(func, loop, options, stats, pairs);
-      licm.run();
-      changed = true;
-      break;  // Indices invalidated: rescan.
-    }
+  for (const LoopSpan& loop : loop_spans(func)) {
+    if (!loop.innermost) continue;
+    if (!processed.insert(func.insns[loop.beg].loop_region).second) continue;
+    // Each prior rewrite reordered its loop; the oracle must answer for
+    // the stream as it is now.
+    if (options.fallback != nullptr) options.fallback->refresh(func);
+    licm.run(loop);
   }
   return stats;
 }

@@ -51,8 +51,8 @@ struct LicmOptions {
   /// irdep_fallback): when set, a store only blocks hoisting if the oracle
   /// also admits a same-iteration or loop-carried conflict, and a call
   /// only blocks if the oracle says it may write the location.  The pass
-  /// calls refresh() before each loop it processes (hoisting rewrites the
-  /// insn stream, invalidating prior indices).
+  /// calls refresh() before each loop it processes (hoisting reorders the
+  /// previous loop's instructions, moving prior indices).
   DepOracle* fallback = nullptr;
 };
 

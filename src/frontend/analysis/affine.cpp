@@ -90,15 +90,6 @@ AffineExpr AffineExpr::substituted(const VarDecl* var, std::int64_t value) const
   return out;
 }
 
-bool AffineExpr::all_vars(const std::function<bool(const VarDecl*)>& pred) const {
-  if (!affine_) return false;
-  for (const auto& [decl, coeff] : terms_) {
-    (void)coeff;
-    if (!pred(decl)) return false;
-  }
-  return true;
-}
-
 std::string AffineExpr::to_string() const {
   if (!affine_) return "<non-affine>";
   std::string out;

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -50,9 +49,6 @@ class AffineExpr {
 
   /// Substitutes var := value, eliminating the variable.
   [[nodiscard]] AffineExpr substituted(const VarDecl* var, std::int64_t value) const;
-
-  /// True when every term's variable satisfies `pred`.
-  [[nodiscard]] bool all_vars(const std::function<bool(const VarDecl*)>& pred) const;
 
   [[nodiscard]] std::string to_string() const;
 

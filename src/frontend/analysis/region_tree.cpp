@@ -242,10 +242,6 @@ bool subtree_modifies(const Stmt* stmt, const VarDecl* var) {
   return body_modifies(stmt, var);
 }
 
-bool expr_tree_modifies(const Expr* expr, const VarDecl* var) {
-  return expr_modifies(expr, var);
-}
-
 std::optional<CanonicalLoop> canonicalize_loop(const ForStmt& loop) {
   std::optional<std::int64_t> lower;
   VarDecl* ind = init_induction_var(loop.init, lower);

@@ -114,7 +114,5 @@ class RegionTree {
 /// ++/-- and compound assignment).  Used to decide whether a pointer or a
 /// symbolic subscript term is invariant within a loop.
 [[nodiscard]] bool subtree_modifies(const Stmt* stmt, const VarDecl* var);
-/// Expression-level variant of subtree_modifies.
-[[nodiscard]] bool expr_tree_modifies(const Expr* expr, const VarDecl* var);
 
 }  // namespace hli::analysis

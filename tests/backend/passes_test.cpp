@@ -208,6 +208,35 @@ int main() { g = 4; int x = g; clobber(); return x * 1000 + g; }
   EXPECT_EQ(c.run(), 4099);  // The reload after the call must see 99.
 }
 
+// A block that recomputes a value into the register already holding it
+// (lowering never emits one) turns the second computation into a self
+// move; the register must not become its own copy, or reading it again
+// would follow the copy chain forever.
+TEST(CseTest, RecomputingAHeldValueTerminates) {
+  RtlFunction func;
+  func.name = "main";
+  func.num_regs = 2;
+  Insn imm;
+  imm.op = Opcode::LoadImm;
+  imm.rd = 0;
+  imm.imm = 3;
+  func.insns.push_back(imm);
+  func.insns.push_back(imm);
+  Insn add;
+  add.op = Opcode::Add;
+  add.rd = 1;
+  add.rs1 = 0;
+  add.rs2 = 0;
+  func.insns.push_back(add);
+  func.insns.push_back(add);
+  const CseStats stats = cse_function(func, CseOptions{});
+  EXPECT_EQ(stats.exprs_reused, 2u);
+  EXPECT_EQ(func.insns[1].op, Opcode::Move);
+  EXPECT_EQ(func.insns[1].rs1, 0);
+  EXPECT_EQ(func.insns[3].op, Opcode::Move);
+  EXPECT_EQ(func.insns[3].rs1, 1);
+}
+
 // ---------------------------------------------------------------------
 // LICM.
 // ---------------------------------------------------------------------
