@@ -187,7 +187,9 @@ class FunctionCse {
       Insn& insn = func_.insns[at];
       // Sequencing matters: (1) look up reuse against the PRE-insn tables,
       // (2) kill entries mentioning the redefined register, (3) record the
-      // new value.  Doing (3) before (2) would kill the fresh entry.
+      // new value.  Doing (3) before (2) would kill the fresh entry.  A
+      // key naming the destination names its old value, so an
+      // instruction that reads its own destination records nothing.
       switch (insn.op) {
         case Opcode::Store:
           invalidate_stores(insn, at);
@@ -205,7 +207,7 @@ class FunctionCse {
           kill_register(value);
           if (reused) {
             record_copy(value, resolve(insn.rs1));  // insn is a Move now.
-          } else {
+          } else if (key.address != value) {
             const std::uint64_t made = ++clock_;
             load_index_[key] = Value{value, made};
             loads_.push_back(LoadEntry{key, value, mem, at, made});
@@ -220,7 +222,7 @@ class FunctionCse {
             kill_register(value);
             if (reused) {
               record_copy(value, resolve(insn.rs1));  // insn is a Move now.
-            } else {
+            } else if (key.rs1 != value && key.rs2 != value) {
               values_[key] = Value{value, ++clock_};
             }
           } else if (insn.op == Opcode::Move && insn.rd != kNoReg) {

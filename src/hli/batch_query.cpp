@@ -53,7 +53,6 @@ void BlockConflictMatrix::reset() {
   overflow_.clear();
   call_overflow_.clear();
   conflict_.clear();
-  definite_.clear();
   lcdd_.clear();
   call_ref_.clear();
   call_mod_.clear();
@@ -87,7 +86,6 @@ void BlockConflictMatrix::build(const HliUnitView& view,
   const std::uint32_t n = static_cast<std::uint32_t>(slots_.size());
   words_ = (n + 63) / 64;
   conflict_.assign(static_cast<std::size_t>(n) * words_, 0);
-  definite_.assign(static_cast<std::size_t>(n) * words_, 0);
   lcdd_.clear();
   call_ref_.assign(call_slots_.size() * words_, 0);
   call_mod_.assign(call_slots_.size() * words_, 0);
@@ -144,8 +142,8 @@ void BlockConflictMatrix::fill_conflict_planes() {
   }
 
   // Per relevant region: resolve every slot's class ONCE, then compute
-  // the class×class plane with the exact scalar may_conflict tail.
-  // Byte encoding: bit 0 = conflict (answer != None), bit 1 = definite.
+  // the class×class plane with the exact scalar may_conflict tail (a
+  // byte per class pair: 1 when the answer is not None).
   const std::uint32_t nrel = static_cast<std::uint32_t>(rel_.size());
   class_idx_.assign(static_cast<std::size_t>(nrel) * n, kNone);
   rel_off_.resize(nrel);
@@ -200,11 +198,8 @@ void BlockConflictMatrix::fill_conflict_planes() {
     }
     for (std::uint32_t i = 0; i < stride; ++i) {
       const ItemId ca = classes_[i];
-      // Diagonal: same class, equivalence decides (scalar may_conflict).
-      plane[static_cast<std::size_t>(i) * stride + i] =
-          !view.class_known(ca) ? 1
-          : (view.cinfo_[ca].flags & HliUnitView::kDefinite) != 0 ? 3
-                                                                  : 1;
+      // Diagonal: same class, always a conflict (Maybe or Definite).
+      plane[static_cast<std::size_t>(i) * stride + i] = 1;
       switch (class_status_[i]) {
         case kMaybeAll:
           for (std::uint32_t j = 0; j < stride; ++j) {
@@ -261,7 +256,6 @@ void BlockConflictMatrix::fill_conflict_planes() {
   for (std::uint32_t a = 0; a < n; ++a) {
     const std::uint32_t ga = slot_group_[a];
     std::uint64_t* crow = conflict_.data() + static_cast<std::size_t>(a) * words_;
-    std::uint64_t* drow = definite_.data() + static_cast<std::size_t>(a) * words_;
     if (ga == kNone) {
       // Unknown owning region: Maybe against everything (set the whole
       // conflict row word-wise; bits past n are never consulted).
@@ -280,14 +274,13 @@ void BlockConflictMatrix::fill_conflict_planes() {
       row_cidx_[gb] = class_idx_.data() + static_cast<std::size_t>(r) * n;
     }
     for (std::uint32_t b = 0; b < n; ++b) {
-      std::uint8_t bits = 1;  // Default: Maybe (unknown slot / no LCA).
+      bool conflict = true;  // Default: Maybe (unknown slot / no LCA).
       const std::uint32_t gb = slot_group_[b];
       if (gb != kNone && row_plane_[gb] != nullptr) {
         const std::uint32_t ib = row_cidx_[gb][b];
-        bits = ib == kNone ? 1 : row_plane_[gb][ib];
+        conflict = ib == kNone || row_plane_[gb][ib] != 0;
       }
-      if (bits & 1) crow[b >> 6] |= std::uint64_t{1} << (b & 63);
-      if (bits & 2) drow[b >> 6] |= std::uint64_t{1} << (b & 63);
+      if (conflict) crow[b >> 6] |= std::uint64_t{1} << (b & 63);
     }
   }
 }

@@ -10,9 +10,9 @@
 //      closure of the items' owning regions),
 //   2. precomputes a class×class conflict matrix per relevant region
 //      (equivalence ∪ alias, exactly the scalar may_conflict tail),
-//   3. materializes item×item answer planes as packed std::uint64_t
-//      bitset rows — a conflict plane plus a definite plane, so the full
-//      three-valued EquivAcc is reconstructed from two bit tests,
+//   3. materializes the item×item conflict plane as packed
+//      std::uint64_t bitset rows (bit set iff the scalar may_conflict
+//      answer is not None),
 //   4. optionally folds in the LCDD table of one loop region (a
 //      loop-carried plane: bit set iff `get_lcdd(loop, a, b)` would be
 //      non-empty), and
@@ -91,16 +91,9 @@ class BlockConflictMatrix {
 
   // -- Pair answers (all O(1) bit tests) ----------------------------------
 
-  /// Scalar-identical HLI_GetEquivAcc ∪ HLI_GetAlias answer for two
-  /// memory slots: EquivAcc::None when the block can reorder them.
-  [[nodiscard]] EquivAcc may_conflict(std::uint32_t a, std::uint32_t b) const {
-    check_fresh();
-    if (a >= size() || b >= size()) return EquivAcc::Maybe;
-    if (!bit(conflict_, a, b)) return EquivAcc::None;
-    return bit(definite_, a, b) ? EquivAcc::Definite : EquivAcc::Maybe;
-  }
-
-  /// `may_conflict(a, b) != EquivAcc::None` as a single bit test.
+  /// The scalar `may_conflict(a, b) != EquivAcc::None` for two memory
+  /// slots (HLI_GetEquivAcc ∪ HLI_GetAlias): false when the block can
+  /// reorder them.
   [[nodiscard]] bool conflict(std::uint32_t a, std::uint32_t b) const {
     check_fresh();
     if (a >= size() || b >= size()) return true;  // Unslotted: stay safe.
@@ -213,7 +206,6 @@ class BlockConflictMatrix {
   // Answer planes, each size() rows × words_ words (call planes are
   // call_count() rows over memory-slot columns).
   std::vector<std::uint64_t> conflict_;
-  std::vector<std::uint64_t> definite_;
   std::vector<std::uint64_t> lcdd_;
   std::vector<std::uint64_t> call_ref_;
   std::vector<std::uint64_t> call_mod_;

@@ -589,13 +589,17 @@ class Verifier {
           const char* name;
           query::EquivAcc got, want;
         };
+        // The matrix keeps one bit per pair (conflict iff the answer is
+        // not None), so its probe compares None-or-Maybe.
+        const query::EquivAcc want = oracle.may_conflict(items[i], items[j]);
+        const bool bit = matrix.conflict(matrix.slot_of(items[i]),
+                                         matrix.slot_of(items[j]));
         const Probe probes[] = {
-            {"may_conflict", dense.may_conflict(items[i], items[j]),
-             oracle.may_conflict(items[i], items[j])},
-            {"batch.may_conflict",
-             matrix.may_conflict(matrix.slot_of(items[i]),
-                                 matrix.slot_of(items[j])),
-             oracle.may_conflict(items[i], items[j])},
+            {"may_conflict", dense.may_conflict(items[i], items[j]), want},
+            {"batch.conflict",
+             bit ? query::EquivAcc::Maybe : query::EquivAcc::None,
+             want == query::EquivAcc::None ? query::EquivAcc::None
+                                           : query::EquivAcc::Maybe},
             {"get_equiv_acc", dense.get_equiv_acc(items[i], items[j]),
              oracle.get_equiv_acc(items[i], items[j])},
             {"get_alias", dense.get_alias(items[i], items[j]),

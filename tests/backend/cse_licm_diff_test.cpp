@@ -4,7 +4,9 @@
 // on_load_hoisted call sequences, on every function of the suite at the
 // point where the pipeline runs each pass, and on seeded random functions
 // built to stress register redefinition, copy chains, loops that share a
-// region, and stores and calls inside loops.
+// region, and stores and calls inside loops.  Hand-built blocks whose
+// instructions read their own destination are also run on the
+// interpreter before and after CSE.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +19,7 @@
 #include "analysis/irdep/analyzer.hpp"
 #include "analysis/irdep/refmod.hpp"
 #include "backend/cse.hpp"
+#include "backend/interp.hpp"
 #include "backend/licm.hpp"
 #include "cse_licm_reference.hpp"
 #include "driver/pipeline.hpp"
@@ -256,7 +259,10 @@ Pools pools_of(const RtlFunction& func) {
 /// forever when it reads that register again, if a block redefines a
 /// register with the very value it already holds.  Lowering never does
 /// that; so that both passes terminate, a redefinition within a block
-/// carries an immediate or offset no other instruction uses.
+/// carries an immediate or offset no other instruction uses.  One that
+/// reads its own destination keeps its shared immediate or offset: CSE
+/// records no entry keyed by the destination's old value, so such an
+/// instruction can never be reused into a copy of itself.
 class FunctionGen {
  public:
   FunctionGen(Rng& rng, const Pools& pools) : rng_(rng), pools_(pools) {}
@@ -397,7 +403,9 @@ class FunctionGen {
           if (insn.op != Opcode::Neg && insn.op != Opcode::IntToFp) {
             insn.rs2 = rng_.chance(1, 4) ? insn.rs1 : read();
           }
-          if (redefines(insn)) insn.imm = unique();
+          if (redefines(insn) && insn.rs1 != insn.rd && insn.rs2 != insn.rd) {
+            insn.imm = unique();
+          }
           break;
         }
         case 5:
@@ -430,7 +438,9 @@ class FunctionGen {
             insn.rs2 = read();
           } else {
             insn.rd = rng_.chance(1, 8) ? insn.rs1 : def();
-            if (redefines(insn)) insn.mem.const_offset = unique();
+            if (redefines(insn) && insn.rd != insn.rs1) {
+              insn.mem.const_offset = unique();
+            }
           }
           break;
         }
@@ -542,6 +552,112 @@ TEST(CseLicmRandomTest, RandomFunctionsMatchTheReference) {
   // The generator must reach the rewrites, not only the tables.
   EXPECT_GT(reused, 1000u);
   EXPECT_GT(hoisted, 1000u);
+}
+
+// -- Instructions that read their own destination ------------------------------
+
+Insn imm_insn(Reg rd, std::int64_t value) {
+  Insn insn;
+  insn.op = Opcode::LoadImm;
+  insn.rd = rd;
+  insn.imm = value;
+  return insn;
+}
+
+Insn binary_insn(Opcode op, Reg rd, Reg rs1, Reg rs2) {
+  Insn insn;
+  insn.op = op;
+  insn.rd = rd;
+  insn.rs1 = rs1;
+  insn.rs2 = rs2;
+  return insn;
+}
+
+Insn move_insn(Reg rd, Reg rs1) {
+  Insn insn;
+  insn.op = Opcode::Move;
+  insn.rd = rd;
+  insn.rs1 = rs1;
+  return insn;
+}
+
+Insn addr_insn(Reg rd, std::int64_t offset) {  // &g + offset
+  Insn insn;
+  insn.op = Opcode::LoadAddr;
+  insn.rd = rd;
+  insn.label = 0;
+  insn.imm = offset;
+  return insn;
+}
+
+Insn mem_insn(Opcode op, Reg address, Reg value) {
+  Insn insn;
+  insn.op = op;
+  insn.rs1 = address;
+  (op == Opcode::Load ? insn.rd : insn.rs2) = value;
+  insn.mem.size = 8;
+  return insn;
+}
+
+/// Runs a one-block `main` that returns `result` before and after CSE:
+/// both runs must return `want`, and the reference CSE must give the
+/// same RTL.
+void expect_cse_keeps_result(std::vector<Insn> block, Reg result,
+                             std::int64_t want) {
+  RtlProgram prog;
+  GlobalVar g;
+  g.name = "g";
+  g.size = 16;
+  prog.globals.push_back(g);
+  RtlFunction func;
+  func.name = "main";
+  func.num_regs = 6;
+  func.insns = std::move(block);
+  Insn ret;
+  ret.op = Opcode::Return;
+  ret.rs1 = result;
+  func.insns.push_back(ret);
+  prog.functions.push_back(func);
+  const std::string before_rtl = rtl_of(func);
+  const RunResult before = run_program(prog);
+  ASSERT_TRUE(before.ok) << before.error;
+  EXPECT_EQ(before.return_value, want) << before_rtl;
+
+  CseOptions options;
+  options.use_hli = false;
+  (void)cse_function(prog.functions.front(), options);
+  const RunResult after = run_program(prog);
+  ASSERT_TRUE(after.ok) << after.error;
+  EXPECT_EQ(after.return_value, before.return_value)
+      << before_rtl << "after CSE:\n" << rtl_of(prog.functions.front());
+
+  RtlFunction ref = func;
+  (void)cse_licm_reference::cse_function(ref, options);
+  EXPECT_EQ(rtl_of(ref), rtl_of(prog.functions.front()));
+}
+
+TEST(CseSelfReadTest, ValueReadingItsDestinationIsNotReused) {
+  // r0 = 1; r0 = r0 + r0; r1 = r0 + r0  ->  r1 = 4, not a copy of r0.
+  expect_cse_keeps_result({imm_insn(0, 1), binary_insn(Opcode::Add, 0, 0, 0),
+                           binary_insn(Opcode::Add, 1, 0, 0)},
+                          1, 4);
+}
+
+TEST(CseSelfReadTest, ValueReadingItsDestinationThroughACopy) {
+  // r2 = r0 resolves to r0, so r0 = r2 * r2 also reads its destination.
+  expect_cse_keeps_result({imm_insn(0, 3), move_insn(2, 0),
+                           binary_insn(Opcode::Mul, 0, 2, 2),
+                           binary_insn(Opcode::Mul, 1, 0, 0)},
+                          1, 81);
+}
+
+TEST(CseSelfReadTest, LoadThroughItsDestinationIsNotReused) {
+  // g[0] = &g[8]; g[8] = 42; r0 = &g; r0 = *r0; r3 = *r0  ->  r3 = 42.
+  expect_cse_keeps_result(
+      {addr_insn(0, 0), addr_insn(1, 8), imm_insn(2, 42),
+       mem_insn(Opcode::Store, 1, 2), mem_insn(Opcode::Store, 0, 1),
+       mem_insn(Opcode::Load, 0, 0), mem_insn(Opcode::Load, 0, 3)},
+      3, 42);
 }
 
 }  // namespace

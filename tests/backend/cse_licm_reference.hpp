@@ -72,7 +72,8 @@ class BlockCse {
       Insn& insn = func_.insns[at];
       // Sequencing matters: (1) look up reuse against the PRE-insn tables,
       // (2) kill entries mentioning the redefined register, (3) record the
-      // new value.  Doing (3) before (2) would erase the fresh entry.
+      // new value.  Doing (3) before (2) would erase the fresh entry.  A
+      // key naming the destination names its old value: record nothing.
       switch (insn.op) {
         case Opcode::Store:
           invalidate_stores(insn, at);
@@ -89,7 +90,7 @@ class BlockCse {
           kill_register(value);
           if (reused) {
             copies_[value] = resolve(insn.rs1);  // insn is a Move now.
-          } else {
+          } else if (address != value) {
             LoadEntry entry;
             entry.address = address;
             entry.const_offset = mem.const_offset;
@@ -108,7 +109,7 @@ class BlockCse {
             kill_register(value);
             if (reused) {
               copies_[value] = resolve(insn.rs1);  // insn is a Move now.
-            } else {
+            } else if (std::get<2>(key) != value && std::get<3>(key) != value) {
               values_.emplace(key, value);
             }
           } else if (insn.op == Opcode::Move && insn.rd != kNoReg) {

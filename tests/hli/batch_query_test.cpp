@@ -1,7 +1,7 @@
 // Differential proof that BlockConflictMatrix answers EXACTLY like the
 // scalar HliUnitView — and therefore like the map-based reference oracle.
 // Every workload's HLI entry is pushed through all three implementations
-// and every pair answer (may_conflict, call REF/MOD, LCDD emptiness) is
+// and every pair answer (conflict, call REF/MOD, LCDD emptiness) is
 // compared on every slot pair.  The scheduler's Table 2 numbers are a
 // function of these answers, so "identical on all pairs" here means the
 // batched DDG construction cannot change a single edge — which the RTL
@@ -70,14 +70,13 @@ void compare_unit(const format::HliEntry& entry, const std::string& label) {
     EXPECT_EQ(matrix.item_at(slot), item);
   }
 
-  // may_conflict: matrix == dense == reference on every slot pair.
+  // may_conflict: dense == reference, and the matrix bit is set exactly
+  // where the answer is not None, on every slot pair.
   for (const format::ItemId a : items.mem) {
     const std::uint32_t sa = matrix.slot_of(a);
     for (const format::ItemId b : items.mem) {
       const std::uint32_t sb = matrix.slot_of(b);
       const EquivAcc want = dense.may_conflict(a, b);
-      ASSERT_EQ(matrix.may_conflict(sa, sb), want)
-          << "may_conflict(" << a << ", " << b << ")";
       ASSERT_EQ(ref.may_conflict(a, b), want)
           << "may_conflict(" << a << ", " << b << ")";
       ASSERT_EQ(matrix.conflict(sa, sb), want != EquivAcc::None)
@@ -147,9 +146,8 @@ TEST(BatchQueryTest, UnslottedItemsAnswerConservatively) {
   EXPECT_EQ(matrix.slot_of(entry.next_id + 1), BlockConflictMatrix::kNoSlot);
   // Out-of-range slots answer like the scalar unknown-item prologue.
   const std::uint32_t bad = BlockConflictMatrix::kNoSlot;
-  EXPECT_EQ(matrix.may_conflict(bad, 0), EquivAcc::Maybe);
-  EXPECT_EQ(matrix.may_conflict(0, bad), EquivAcc::Maybe);
   EXPECT_TRUE(matrix.conflict(bad, 0));
+  EXPECT_TRUE(matrix.conflict(0, bad));
   EXPECT_FALSE(matrix.loop_carried(bad, 0));
   EXPECT_EQ(matrix.call_acc(0, bad), query::CallAcc::RefMod);
   EXPECT_EQ(matrix.call_acc(bad, 0), query::CallAcc::RefMod);
@@ -201,9 +199,9 @@ TEST(BatchQueryTest, ArenaRebuildAnswersStayExact) {
       matrix.build(view, block, items.calls);
       for (const format::ItemId a : block) {
         for (const format::ItemId b : block) {
-          ASSERT_EQ(matrix.may_conflict(matrix.slot_of(a), matrix.slot_of(b)),
-                    view.may_conflict(a, b))
-              << entry.unit_name << ": may_conflict(" << a << ", " << b << ")";
+          ASSERT_EQ(matrix.conflict(matrix.slot_of(a), matrix.slot_of(b)),
+                    view.may_conflict(a, b) != EquivAcc::None)
+              << entry.unit_name << ": conflict(" << a << ", " << b << ")";
         }
       }
     }
